@@ -33,9 +33,9 @@ class BsParams:
 
     def __post_init__(self):
         if self.c < 1:
-            raise ValueError("c must be >= 1")
+            raise PresentationError("c must be >= 1")
         if self.d_signed == 0:
-            raise ValueError("d' must be nonzero")
+            raise PresentationError("d' must be nonzero")
 
     @property
     def d_abs(self) -> int:

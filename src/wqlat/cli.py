@@ -20,7 +20,6 @@ from .controlled import (
 )
 from .order import (
     DEFAULT_RADIUS_CAP,
-    LeqTable,
     PresentationError,
     check_weak_ql,
     oracle_join,
@@ -272,20 +271,33 @@ def _run_check_controlled(pres, args) -> int:
     return emit(report_for("check-controlled", pres, params, findings, verdict), args.json)
 
 
+def _sample_size(spec: str) -> int | None:
+    """Pair count of a ``--pairs`` value: None for ``all``, k for ``sample:k``."""
+    if spec == "all":
+        return None
+    if spec.startswith("sample:"):
+        try:
+            k = int(spec[len("sample:"):])
+        except ValueError:
+            k = -1
+        if k >= 0:
+            return k
+    raise PresentationError(f"--pairs must be 'all' or 'sample:k' with k >= 0, got {spec!r}")
+
+
 def _run_nica(pres, args) -> int:
+    k = _sample_size(args.pairs)
     ball = pres.enumerate_ball(args.radius, cap=args.max_radius)
     safe = SafeRegion.of(ball, args.safe_radius)
-    table = LeqTable(ball)
     candidates = [ball.elements[i] for i in safe.indices]
     pairs = [(x, y) for x in candidates for y in candidates]
-    if args.pairs.startswith("sample:"):
-        k = int(args.pairs.split(":", 1)[1])
+    if k is not None:
         rng = random.Random(args.seed)
         pairs = rng.sample(pairs, min(k, len(pairs)))
     findings = []
     inconclusive = 0
     for x, y in pairs:
-        result = check_nica(pres, x, y, ball, safe, table)
+        result = check_nica(pres, x, y, ball, safe)
         if result["verdict"] in ("inconclusive", "truncated"):
             # A truncated comparison says nothing either way; a larger
             # enclosing ball is needed.

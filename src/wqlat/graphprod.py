@@ -34,9 +34,9 @@ class Graph:
         self.adj = [[False] * n_vertices for _ in range(n_vertices)]
         for i, j in edges:
             if i == j:
-                raise ValueError("no self-loops")
+                raise PresentationError("no self-loops")
             if not (0 <= i < n_vertices and 0 <= j < n_vertices):
-                raise ValueError(f"edge ({i},{j}) outside vertex range")
+                raise PresentationError(f"edge ({i},{j}) outside vertex range")
             self.adj[i][j] = self.adj[j][i] = True
         self.edges = sorted(tuple(sorted((i, j))) for i, j in edges)
 

@@ -152,6 +152,9 @@ class Presentation:
     def equal(self, x: Element, y: Element) -> bool:
         return x == y
 
+    def chain_demo(self, depth: int, ball=None) -> dict:
+        raise PresentationError(f"{self.name} has no descending chain demonstration")
+
     def enumerate_ball(self, radius: int, cap: int | None = None) -> "Ball":
         """Breadth-first closure of {e} under right multiplication."""
         check_radius_cap(radius, cap)
@@ -183,6 +186,7 @@ class Ball:
         self.elements = tuple(elements)
         self.lengths = tuple(lengths)
         self.index = {el: i for i, el in enumerate(self.elements)}
+        self._shifts: dict[Element, np.ndarray] = {}
 
     @classmethod
     def build(cls, pres: Presentation, radius: int, lengths: dict[Element, int]) -> "Ball":
@@ -208,6 +212,28 @@ class Ball:
 
     def indices_within(self, radius: int) -> list[int]:
         return [i for i, n in enumerate(self.lengths) if n <= radius]
+
+    def shift(self, x: Element) -> np.ndarray:
+        """Read-only int32 array: entry i is the index of x * elements[i], or -1.
+
+        Left multiplication is injective, so the array is a partial
+        injection of indices.  Shifts by ball elements are memoised, which
+        bounds the memo by n^2 int32; other positive x are computed afresh.
+        """
+        cached = self._shifts.get(x)
+        if cached is not None:
+            return cached
+        pres, index = self.pres, self.index
+        member = x in index  # ball elements are positive by construction
+        if not member and not pres.is_positive(x):
+            raise PresentationError(f"element {pres.canonical_str(x)} is not positive")
+        arr = np.fromiter(
+            (index.get(pres.mul(x, p), -1) for p in self.elements), dtype=np.int32, count=len(self.elements)
+        )
+        arr.flags.writeable = False
+        if member:
+            self._shifts[x] = arr
+        return arr
 
 
 class LeqTable:
@@ -382,7 +408,8 @@ class DirectSum(Presentation):
     """Componentwise direct sum of presentations, ordered componentwise.
 
     The join is the tuple of component joins; it is infinite as soon as one
-    component join is, and inconclusive only if a component is.
+    component join is, whatever the order of the components, and otherwise
+    inconclusive if a component is.
     """
 
     family = "directsum"
@@ -404,15 +431,16 @@ class DirectSum(Presentation):
         return all(p.is_positive(a) for p, a in zip(self.parts, x))
 
     def join(self, x: tuple, y: tuple) -> JoinResult:
-        comps = []
+        comps, undecided = [], None
         for p, a, b in zip(self.parts, x, y):
             r = p.join(a, b)
             if r.is_infinite:
                 return JoinResult.infinite()
             if r.is_inconclusive:
-                return r
-            comps.append(r.value)
-        return JoinResult.finite(tuple(comps))
+                undecided = undecided or r
+            else:
+                comps.append(r.value)
+        return undecided or JoinResult.finite(tuple(comps))
 
     def leq(self, x: tuple, y: tuple) -> bool:
         return all(p.leq(a, b) for p, a, b in zip(self.parts, x, y))

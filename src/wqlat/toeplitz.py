@@ -1,10 +1,12 @@
 """Finite truncation of the left-regular representation on the cone.
 
 The shift by a positive element acts on a ball as a partial injection of
-indices; compositions, adjoints and range projections are computed exactly
-as relations, so every identity in scope holds with no floating point.
-Comparisons are restricted to a safe region, a smaller concentric ball on
-which truncation cannot cut off the compositions under test.
+indices, held as the ball's memoised index array (:meth:`Ball.shift`);
+compositions are gathers, adjoints scatters, and range projections and
+restrictions masks, so every identity in scope holds exactly with no
+floating point.  Comparisons are restricted to a safe region, a smaller
+concentric ball on which truncation cannot cut off the compositions under
+test.
 """
 
 from __future__ import annotations
@@ -14,76 +16,102 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controlled import Morphism
-from .order import Ball, LeqTable, Presentation, PresentationError
+from .order import Ball, Presentation, PresentationError
 
 
 class PartialInjection:
-    """Injective partial self-map of ball indices."""
+    """Injective partial self-map of ball indices.
 
-    __slots__ = ("size", "pairs", "_map")
+    ``arr[i]`` is the image of i, or -1 off the domain.
+    """
+
+    __slots__ = ("arr",)
 
     def __init__(self, size: int, mapping: dict[int, int]):
-        self.size = size
         values = list(mapping.values())
         if len(set(values)) != len(values):
             raise ValueError("mapping is not injective")
-        self._map = dict(mapping)
-        self.pairs = tuple(sorted(self._map.items()))
+        arr = np.full(size, -1, dtype=np.int32)
+        arr[list(mapping)] = values
+        self.arr = arr
+
+    @classmethod
+    def of_array(cls, arr: np.ndarray) -> "PartialInjection":
+        """Wrap an index array already known to be injective off -1."""
+        op = cls.__new__(cls)
+        op.arr = arr
+        return op
 
     @classmethod
     def identity(cls, size: int) -> "PartialInjection":
-        return cls(size, {i: i for i in range(size)})
+        return cls.of_array(np.arange(size, dtype=np.int32))
 
     @classmethod
     def zero(cls, size: int) -> "PartialInjection":
-        return cls(size, {})
+        return cls.of_array(np.full(size, -1, dtype=np.int32))
+
+    @classmethod
+    def partial_identity(cls, mask: np.ndarray) -> "PartialInjection":
+        return cls.of_array(np.where(mask, np.arange(len(mask), dtype=np.int32), np.int32(-1)))
+
+    @property
+    def size(self) -> int:
+        return len(self.arr)
+
+    @property
+    def pairs(self) -> tuple:
+        dom = np.flatnonzero(self.arr >= 0)
+        return tuple(zip(dom.tolist(), self.arr[dom].tolist()))
 
     def __call__(self, i: int):
-        return self._map.get(i)
+        j = int(self.arr[i])
+        return None if j < 0 else j
+
+    def image_mask(self) -> np.ndarray:
+        out = np.zeros(self.size, dtype=bool)
+        out[self.arr[self.arr >= 0]] = True
+        return out
 
     def domain(self) -> set[int]:
-        return set(self._map)
+        return set(np.flatnonzero(self.arr >= 0).tolist())
 
     def image(self) -> set[int]:
-        return set(self._map.values())
+        return set(self.arr[self.arr >= 0].tolist())
 
     def compose(self, other: "PartialInjection") -> "PartialInjection":
         """self after other (operator product: apply other first)."""
-        out = {}
-        for i, j in other.pairs:
-            k = self._map.get(j)
-            if k is not None:
-                out[i] = k
-        return PartialInjection(self.size, out)
+        o = other.arr
+        return PartialInjection.of_array(np.where(o >= 0, self.arr[o], np.int32(-1)))
 
     def adjoint(self) -> "PartialInjection":
-        return PartialInjection(self.size, {j: i for i, j in self.pairs})
+        out = np.full(self.size, -1, dtype=np.int32)
+        dom = np.flatnonzero(self.arr >= 0)
+        out[self.arr[dom]] = dom
+        return PartialInjection.of_array(out)
 
     def restrict(self, indices) -> "PartialInjection":
-        keep = set(indices)
-        return PartialInjection(self.size, {i: j for i, j in self.pairs if i in keep})
+        keep = np.zeros(self.size, dtype=bool)
+        keep[list(indices)] = True
+        return PartialInjection.of_array(np.where(keep, self.arr, np.int32(-1)))
 
     def range_projection(self) -> "PartialInjection":
-        return PartialInjection(self.size, {j: j for j in self._map.values()})
+        return PartialInjection.partial_identity(self.image_mask())
 
     def fixed_points(self) -> set[int]:
-        return {i for i, j in self.pairs if i == j}
+        return set(np.flatnonzero(self.arr == np.arange(self.size)).tolist())
 
     def is_zero(self) -> bool:
-        return not self._map
+        return not (self.arr >= 0).any()
 
     def is_partial_identity(self) -> bool:
-        return all(i == j for i, j in self.pairs)
+        dom = self.arr >= 0
+        return bool((self.arr[dom] == np.flatnonzero(dom)).all())
 
     def __eq__(self, other):
-        return (
-            isinstance(other, PartialInjection)
-            and self.size == other.size
-            and self.pairs == other.pairs
-        )
+        return isinstance(other, PartialInjection) and np.array_equal(self.arr, other.arr)
 
     def __hash__(self):
-        return hash((self.size, self.pairs))
+        return hash((self.size, self.arr.tobytes()))
 
     def __repr__(self):
         return f"PartialInjection({dict(self.pairs)})"
@@ -91,8 +119,8 @@ class PartialInjection:
     def to_dense(self) -> np.ndarray:
         """0/1 matrix export, rows indexed by output basis vectors."""
         out = np.zeros((self.size, self.size), dtype=np.int8)
-        for i, j in self.pairs:
-            out[j, i] = 1
+        dom = np.flatnonzero(self.arr >= 0)
+        out[self.arr[dom], dom] = 1
         return out
 
 
@@ -105,6 +133,8 @@ class SafeRegion:
 
     @classmethod
     def of(cls, ball: Ball, radius: int) -> "SafeRegion":
+        if radius < 0:
+            raise PresentationError("safe radius must be nonnegative")
         if radius > ball.radius:
             raise PresentationError("safe region cannot exceed the ball")
         return cls(radius, tuple(ball.indices_within(radius)))
@@ -112,31 +142,15 @@ class SafeRegion:
 
 def toeplitz_op(ball: Ball, x) -> PartialInjection:
     """Shift p -> x p wherever the product stays inside the ball."""
-    pres = ball.pres
-    if not pres.is_positive(x):
-        raise PresentationError(f"element {pres.canonical_str(x)} is not positive")
-    mapping = {}
-    for i, p in enumerate(ball.elements):
-        q = pres.mul(x, p)
-        j = ball.index.get(q)
-        if j is not None:
-            mapping[i] = j
-    return PartialInjection(len(ball), mapping)
+    return PartialInjection.of_array(ball.shift(x))
 
 
 def diagonal_expectation(op: PartialInjection) -> PartialInjection:
     """Keep only the fixed points: the compression onto the diagonal."""
-    return PartialInjection(op.size, {i: i for i in op.fixed_points()})
+    return PartialInjection.partial_identity(op.arr == np.arange(op.size))
 
 
-def check_nica(
-    pres: Presentation,
-    x,
-    y,
-    ball: Ball,
-    safe: SafeRegion,
-    table: LeqTable | None = None,
-) -> dict:
+def check_nica(pres: Presentation, x, y, ball: Ball, safe: SafeRegion) -> dict:
     """Covariance of the range projections of two positive shifts.
 
     Logical form: on every safe p, (x <= p and y <= p) holds exactly when
@@ -147,34 +161,31 @@ def check_nica(
     join = pres.join(x, y)
     if join.is_inconclusive:
         return {"verdict": "inconclusive", "join": join}
-    table = table or LeqTable(ball)
-    ix, iy = ball.position(x), ball.position(y)
-    above = table.upper_bounds(ix, iy)
-    # The operator form needs every quotient z^-1 p (z a shift under test,
-    # p a safe element above z) to stay inside the ball; otherwise the
-    # adjoint truncates and the comparison is meaningless.
+    for z in (x, y):
+        ball.position(z)  # raises ElementOutsideBall off the ball
+    safe_idx = np.asarray(safe.indices, dtype=np.intp)
+    safe_els = [ball.elements[p] for p in safe.indices]
     shifts = [x, y] + ([join.value] if join.is_finite else [])
+    above, ranges = [], []
     for z in shifts:
-        for p in safe.indices:
-            el = ball.elements[p]
-            if pres.leq(z, el) and pres.mul(pres.inv(z), el) not in ball.index:
-                return {"verdict": "truncated", "join": join, "shift": z}
-    logical_ok = True
-    for p in safe.indices:
-        lhs = bool(above[p])
-        rhs = join.is_finite and pres.leq(join.value, ball.elements[p])
-        if lhs != rhs:
-            logical_ok = False
-            break
-    tx, ty = toeplitz_op(ball, x), toeplitz_op(ball, y)
-    lhs_op = tx.compose(tx.adjoint()).compose(ty.compose(ty.adjoint())).restrict(safe.indices)
-    if join.is_finite:
-        tj = toeplitz_op(ball, join.value)
-        rhs_op = tj.compose(tj.adjoint()).restrict(safe.indices)
-    else:
-        rhs_op = PartialInjection.zero(len(ball))
-    operator_ok = lhs_op == rhs_op
-    forms_agree = lhs_op.domain() == {p for p in safe.indices if above[p]}
+        # z <= p, and p in the range of T_z T_z^*, over the safe region.
+        # The operator form needs every quotient z^-1 p with z <= p inside
+        # the ball, i.e. p in the range of T_z; otherwise the adjoint
+        # truncates and the comparison is meaningless.
+        up = np.fromiter((pres.leq(z, el) for el in safe_els), dtype=bool, count=len(safe_els))
+        rng = toeplitz_op(ball, z).image_mask()[safe_idx]
+        if (up & ~rng).any():
+            return {"verdict": "truncated", "join": join, "shift": z}
+        above.append(up)
+        ranges.append(rng)
+    if not join.is_finite:
+        # An infinite join has no shift: its range projection is zero.
+        above.append(np.zeros(len(safe_els), dtype=bool))
+        ranges.append(above[-1])
+    (ux, uy, uj), (rx, ry, rj) = above, ranges
+    logical_ok = bool(np.array_equal(ux & uy, uj))
+    operator_ok = bool(np.array_equal(rx & ry, rj))
+    forms_agree = bool(np.array_equal(rx & ry, ux & uy))
     ok = logical_ok and operator_ok and forms_agree
     return {
         "verdict": "pass" if ok else "fail",

@@ -88,7 +88,7 @@ def positive_words(n_gens: int, max_len: int) -> list[FWord]:
 
 def default_gen_names(n: int) -> tuple[str, ...]:
     if n > len(string.ascii_lowercase):
-        raise ValueError(f"at most {len(string.ascii_lowercase)} named generators supported")
+        raise PresentationError(f"at most {len(string.ascii_lowercase)} named generators supported")
     return tuple(string.ascii_lowercase[:n])
 
 
@@ -104,7 +104,7 @@ class FreeGroup(Presentation):
 
     def __init__(self, n_gens: int, gen_names: Sequence[str] | None = None):
         if n_gens < 1:
-            raise ValueError("need at least one generator")
+            raise PresentationError("need at least one generator")
         self.n_gens = n_gens
         self.gen_names = tuple(gen_names) if gen_names else default_gen_names(n_gens)
         if len(self.gen_names) != n_gens:

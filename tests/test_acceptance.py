@@ -115,11 +115,10 @@ def test_criterion_4_nica_covariance():
         radius = NICA_RADII.get(name, 6)
         ball = ball_of(name, radius)
         safe = SafeRegion.of(ball, 3)
-        table = table_of(name, radius)
         members = [ball.elements[i] for i in safe.indices]
         for x in members:
             for y in members:
-                verdict = check_nica(pres, x, y, ball, safe, table)["verdict"]
+                verdict = check_nica(pres, x, y, ball, safe)["verdict"]
                 if verdict == "fail":
                     failures.append((name, pres.canonical_str(x), pres.canonical_str(y)))
                 elif verdict == "truncated":

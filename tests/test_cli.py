@@ -117,6 +117,21 @@ class TestScanVerbs:
         assert report["findings"][0]["basis"] == ["e", "a", "b"]
         assert report["findings"][0]["rows"] == [[0, 0, 0], [1, 0, 0], [0, 0, 0]]
 
+    def test_op_rows_match_products(self, capsys):
+        code, out, _ = run(capsys, "op", "hnn-:x,y@x,y", "x", "--radius", "2", "--json")
+        assert code == 0
+        (finding,) = json.loads(out)["findings"]
+        pres = pres_of("hnn-:x,y@x,y")
+        ball = ball_of("hnn-:x,y@x,y", 2)
+        x = pres.parse("x")
+        assert finding["basis"] == [pres.canonical_str(p) for p in ball]
+        want = [[0] * len(ball) for _ in ball]
+        for i, p in enumerate(ball.elements):
+            j = ball.index.get(pres.mul(x, p))
+            if j is not None:
+                want[j][i] = 1
+        assert finding["rows"] == want
+
 
 class TestReports:
     def test_json_determinism(self, capsys):
@@ -154,6 +169,22 @@ class TestUsageErrors:
         assert code == 64 and "exceeds cap" in err
         code, _, _ = run(capsys, "ball", "free:2", "--radius", "7", "--max-radius", "7")
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("nica-verify", "free:2", "--radius", "3", "--pairs", "sample:x"),
+            ("nica-verify", "free:2", "--radius", "3", "--pairs", "sample:-1"),
+            ("nica-verify", "free:2", "--radius", "3", "--pairs", "bogus"),
+            ("nica-verify", "free:2", "--radius", "3", "--safe-radius", "-1"),
+            ("demo-chain", "free:2"),
+            ("nf", "bs:2,0", "a"),
+        ],
+    )
+    def test_one_line_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 64 and out == ""
+        assert err.startswith("wqlat: error: ") and err.count("\n") == 1
 
 
 class TestParseRoundTrips:

@@ -2,6 +2,7 @@ import pytest
 
 from wqlat.order import (
     BallCapExceeded,
+    DirectSum,
     ElementOutsideBall,
     JoinResult,
     check_weak_ql,
@@ -40,6 +41,48 @@ class TestBallEnumeration:
         with pytest.raises(BallCapExceeded):
             pres_of("free:2").enumerate_ball(7)
         pres_of("free:2").enumerate_ball(7, cap=7)
+
+
+class TestBallShift:
+    PRESETS = (("hnn-:x,y@x,y", 4), ("bs:2,-3", 5), ("sd:phi-ab", 4))
+
+    def test_matches_products_and_index(self):
+        for name, radius in self.PRESETS:
+            pres = pres_of(name)
+            ball = ball_of(name, radius)
+            misses = 0
+            for x in ball_of(name, 2):
+                want = [ball.index.get(pres.mul(x, p), -1) for p in ball.elements]
+                got = ball.shift(x)
+                assert got.tolist() == want, (name, pres.canonical_str(x))
+                misses += want.count(-1)
+            assert misses, name
+
+    def test_memoised_and_read_only(self):
+        ball = ball_of("bs:2,-3", 5)
+        x = ball.pres.parse("b a")
+        first = ball.shift(x)
+        assert ball.shift(x) is first
+        assert not first.flags.writeable
+
+
+class TestDirectSumJoin:
+    def test_infinite_wins_in_either_order(self):
+        # sd:nonexample has no structural join (inconclusive); free:2 has
+        # no common upper bound of a and b (infinite).
+        nonexample, free = pres_of("sd:nonexample"), pres_of("free:2")
+        na, nb = nonexample.parse("a"), nonexample.parse("b")
+        fa, fb = free.parse("a"), free.parse("b")
+        assert nonexample.join(na, nb).is_inconclusive and free.join(fa, fb).is_infinite
+        assert DirectSum((nonexample, free)).join((na, fa), (nb, fb)).is_infinite
+        assert DirectSum((free, nonexample)).join((fa, na), (fb, nb)).is_infinite
+
+    def test_inconclusive_beats_finite_in_either_order(self):
+        nonexample, free = pres_of("sd:nonexample"), pres_of("free:2")
+        na, nb = nonexample.parse("a"), nonexample.parse("b")
+        fa, fab = free.parse("a"), free.parse("a b")
+        assert DirectSum((nonexample, free)).join((na, fa), (nb, fab)).is_inconclusive
+        assert DirectSum((free, nonexample)).join((fa, na), (fab, nb)).is_inconclusive
 
 
 class TestLeq:

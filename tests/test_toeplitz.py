@@ -132,6 +132,20 @@ class TestNica:
         assert r["verdict"] == "pass"
         assert r["join"].value == pres.parse("a b")
 
+    def test_truncation_guard(self):
+        # b^-1 p leaves the radius-3 ball for some p >= b in it, so the
+        # adjoint of T_b is cut off and the check must refuse to decide.
+        pres = pres_of("bs:1,2")
+        ball = ball_of("bs:1,2", 3)
+        safe = SafeRegion.of(ball, 3)
+        b = pres.parse("b")
+        r = check_nica(pres, pres.identity(), b, ball, safe)
+        assert r["verdict"] == "truncated" and r["shift"] == b
+
+    def test_rejects_negative_safe_radius(self):
+        with pytest.raises(PresentationError):
+            SafeRegion.of(ball_of("free:2", 2), -1)
+
     def test_fiber_orthogonality(self):
         for name in ("free:2", "bs:2,3", "scarparo"):
             pres = pres_of(name)
