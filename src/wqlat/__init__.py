@@ -7,7 +7,6 @@ from .order import (
     ElementOutsideBall,
     IntGroup,
     JoinResult,
-    LeqTable,
     Presentation,
     PresentationError,
     check_weak_ql,
@@ -24,7 +23,6 @@ __all__ = [
     "ElementOutsideBall",
     "IntGroup",
     "JoinResult",
-    "LeqTable",
     "Presentation",
     "PresentationError",
     "check_weak_ql",

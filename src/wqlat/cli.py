@@ -158,16 +158,16 @@ def run(args) -> int:
     if args.verb == "join":
         x, y = pres.parse(args.x), pres.parse(args.y)
         result = pres.join(x, y)
-        if result.is_inconclusive:
-            ball = pres.enumerate_ball(args.radius, cap=args.max_radius)
-            if x in ball and y in ball:
-                result = oracle_join(pres, x, y, ball)
-        findings = [{"join": result.describe(pres)}]
-        if args.oracle and not result.is_inconclusive:
+        oracle = None
+        if result.is_inconclusive or args.oracle:
             ball = pres.enumerate_ball(args.radius, cap=args.max_radius)
             if x in ball and y in ball:
                 oracle = oracle_join(pres, x, y, ball)
-                findings.append({"oracle": oracle.describe(pres)})
+        if oracle is not None and result.is_inconclusive:
+            result = oracle  # the oracle decides, so there is nothing to cross-check
+        findings = [{"join": result.describe(pres)}]
+        if oracle is not None and oracle is not result:
+            findings.append({"oracle": oracle.describe(pres)})
         verdict = "inconclusive" if result.is_inconclusive else "pass"
         report = report_for("join", pres, {"x": args.x, "y": args.y}, findings, verdict)
         return emit(report, args.json)

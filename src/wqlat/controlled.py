@@ -15,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .order import Ball, LeqTable, Presentation
+import numpy as np
+
+from .order import Ball, Presentation
 
 # sigma witness: (q, ball) -> list of source elements
 SigmaWitness = Callable
@@ -43,16 +45,15 @@ def fibers(mor: Morphism, ball: Ball) -> dict:
     return out
 
 
-def check_order_preserving(mor: Morphism, ball: Ball, table: LeqTable | None = None) -> list:
+def check_order_preserving(mor: Morphism, ball: Ball) -> list:
     """Pairs x <= y in the ball whose images are not ordered."""
-    table = table or LeqTable(ball)
+    els, rel = ball.elements, ball.order()
+    images = [mor(x) for x in els]
     failures = []
-    for i, x in enumerate(ball.elements):
-        row = table.row(i)
-        fx = mor(x)
-        for j in row.nonzero()[0]:
-            if not mor.target.leq(fx, mor(ball.elements[int(j)])):
-                failures.append((x, ball.elements[int(j)]))
+    for i, x in enumerate(els):
+        above = np.flatnonzero(rel[i])
+        kept = mor.target.leq_row(images[i], [images[j] for j in above])
+        failures.extend((x, els[j]) for j in above[~kept])
     return failures
 
 

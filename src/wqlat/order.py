@@ -6,9 +6,15 @@ positivity, the induced left-invariant order ``x <= y iff x^-1 y in P``,
 a structural join where the family has one, and canonical strings.
 
 On top of that sit finite balls (breadth-first closure of {e} under the
-positive generators), a conservative brute-force join oracle, and the
-weak-quasi-lattice violation scan.  The oracle is three-valued on purpose:
-a finite ball can certify a least upper bound but never the absence of one.
+positive generators) with their order relation, a conservative brute-force
+join oracle, and the weak-quasi-lattice violation scan.  The relation is
+read one boolean row at a time: ``Ball.leq_row(i)`` is ``elements[i] <= .``
+over the ball, built by the family hook ``Presentation.leq_row`` at the
+cost of one inverse per row and memoised; ``Ball.order()`` stacks every
+row into the n x n matrix for the scans that read all of it.  The oracle
+reads only the rows it needs, so large balls never pay for the matrix.
+The oracle is three-valued on purpose: a finite ball can certify a least
+upper bound but never the absence of one.
 """
 
 from __future__ import annotations
@@ -149,6 +155,11 @@ class Presentation:
         """Left-invariant order: x <= y iff x^-1 y is positive."""
         return self.is_positive(self.mul(self.inv(x), y))
 
+    def leq_row(self, x: Element, ys: Sequence[Element]) -> np.ndarray:
+        """Boolean vector of ``x <= y`` over ``ys``, inverting x once."""
+        xi, mul, positive = self.inv(x), self.mul, self.is_positive
+        return np.fromiter((positive(mul(xi, y)) for y in ys), dtype=bool, count=len(ys))
+
     def equal(self, x: Element, y: Element) -> bool:
         return x == y
 
@@ -187,6 +198,8 @@ class Ball:
         self.lengths = tuple(lengths)
         self.index = {el: i for i, el in enumerate(self.elements)}
         self._shifts: dict[Element, np.ndarray] = {}
+        self._rows: dict[int, np.ndarray] = {}
+        self._order: np.ndarray | None = None
 
     @classmethod
     def build(cls, pres: Presentation, radius: int, lengths: dict[Element, int]) -> "Ball":
@@ -235,137 +248,92 @@ class Ball:
             self._shifts[x] = arr
         return arr
 
+    def leq_row(self, i: int) -> np.ndarray:
+        """Read-only boolean row ``elements[i] <= elements[j]`` over j, memoised."""
+        row = self._rows.get(i)
+        if row is None:
+            row = self.pres.leq_row(self.elements[i], self.elements)
+            row.flags.writeable = False
+            self._rows[i] = row
+        return row
 
-class LeqTable:
-    """Cached order relation over a ball, one lazily computed row per element."""
-
-    def __init__(self, ball: Ball):
-        self.ball = ball
-        self.pres = ball.pres
-        self._rows: dict[int, np.ndarray] = {}
-
-    def row(self, i: int) -> np.ndarray:
-        """Boolean vector of ``elements[i] <= elements[j]`` over the ball."""
-        cached = self._rows.get(i)
-        if cached is None:
-            pres, els = self.pres, self.ball.elements
-            x = els[i]
-            cached = np.fromiter(
-                (pres.leq(x, z) for z in els), dtype=bool, count=len(els)
-            )
-            self._rows[i] = cached
-        return cached
-
-    def leq(self, i: int, j: int) -> bool:
-        return bool(self.row(i)[j])
-
-    def upper_bounds(self, i: int, j: int) -> np.ndarray:
-        return self.row(i) & self.row(j)
-
-    def minimal_elements(self, indices: np.ndarray) -> list[int]:
-        """Indices in ``indices`` with no other member strictly below them."""
-        idx = list(np.flatnonzero(indices))
-        out = []
-        for z in idx:
-            dominated = any(z2 != z and self.leq(z2, z) for z2 in idx)
-            if not dominated:
-                out.append(z)
-        return out
+    def order(self) -> np.ndarray:
+        """Read-only n x n order relation, built from the rows on first use."""
+        if self._order is None:
+            self._order = np.vstack([self.leq_row(i) for i in range(len(self))])
+            self._order.flags.writeable = False
+        return self._order
 
 
 def enumerate_ball(pres: Presentation, radius: int, cap: int | None = None) -> Ball:
     return pres.enumerate_ball(radius, cap=cap)
 
 
-def oracle_join(
-    pres: Presentation,
-    x: Element,
-    y: Element,
-    ball: Ball,
-    table: LeqTable | None = None,
-) -> JoinResult:
+def _minimal(idx: np.ndarray, rel: np.ndarray) -> np.ndarray:
+    """Members of ``idx`` with no other member strictly below them.
+
+    ``rel[a, b]`` is ``idx[a] <= idx[b]``; it is overwritten.
+    """
+    np.fill_diagonal(rel, False)
+    return idx[~rel.any(0)]
+
+
+def oracle_join(pres: Presentation, x: Element, y: Element, ball: Ball) -> JoinResult:
     """Brute-force join over a ball, independent of any structural algorithm.
 
     Returns Finite(m) only when the ball contains a unique minimal common
     upper bound m that is below every other one; otherwise inconclusive.
-    An empty candidate set is still inconclusive, never infinite.
+    An empty candidate set is still inconclusive, never infinite.  Reads
+    the rows of x, y and their common upper bounds only.
     """
-    table = table or LeqTable(ball)
-    i, j = ball.position(x), ball.position(y)
-    ubs = table.upper_bounds(i, j)
-    if not ubs.any():
-        return JoinResult.inconclusive_within(ball.radius)
-    minimal = table.minimal_elements(ubs)
-    if len(minimal) == 1:
-        m = minimal[0]
-        if all(table.leq(m, z) for z in np.flatnonzero(ubs)):
-            return JoinResult.finite(ball.elements[m])
+    ubs = np.flatnonzero(ball.leq_row(ball.position(x)) & ball.leq_row(ball.position(y)))
+    if ubs.size:
+        minimal = _minimal(ubs, np.array([ball.leq_row(z)[ubs] for z in ubs]))
+        if len(minimal) == 1 and ball.leq_row(minimal[0])[ubs].all():
+            return JoinResult.finite(ball.elements[minimal[0]])
     return JoinResult.inconclusive_within(ball.radius)
 
 
-def verify_join(
-    pres: Presentation,
-    x: Element,
-    y: Element,
-    j: Element,
-    ball: Ball,
-    table: LeqTable | None = None,
-) -> bool:
+def verify_join(pres: Presentation, x: Element, y: Element, j: Element, ball: Ball) -> bool:
     """Soundness harness: j is an upper bound of x, y minimal on the ball."""
     if not (pres.leq(x, j) and pres.leq(y, j)):
         return False
-    table = table or LeqTable(ball)
-    i1, i2 = ball.position(x), ball.position(y)
-    jr = None
+    ubs = np.flatnonzero(ball.leq_row(ball.position(x)) & ball.leq_row(ball.position(y)))
     if j in ball:
-        jr = table.row(ball.position(j))
-    for z in np.flatnonzero(table.upper_bounds(i1, i2)):
-        if jr is not None:
-            if not jr[z]:
-                return False
-        elif not pres.leq(j, ball.elements[z]):
-            return False
-    return True
+        below = ball.leq_row(ball.position(j))[ubs]
+    else:
+        below = pres.leq_row(j, [ball.elements[z] for z in ubs])
+    return bool(below.all())
 
 
-def check_weak_ql(pres: Presentation, ball: Ball, table: LeqTable | None = None) -> list[dict]:
+def check_weak_ql(pres: Presentation, ball: Ball) -> list[dict]:
     """Scan all ball pairs for failures of the least-upper-bound property.
 
     A finding records a pair with at least two mutually incomparable minimal
     upper bounds in the ball and no ball element that is a common upper
     bound lying below both.  Findings are candidates only: the true join
     could live outside the ball.
+
+    Only incomparable pairs with a common upper bound can fail: if x <= y,
+    y is the least upper bound.  The second clause follows from the first:
+    a common upper bound below two distinct minimal ones equals both.
     """
-    table = table or LeqTable(ball)
+    rel = ball.order()
+    as_float = rel.astype(np.float32)  # exact counts; uint8 would wrap at 256
+    bounded = (as_float @ as_float.T) > 0
+    candidates = bounded & ~rel & ~rel.T
     findings: list[dict] = []
-    n = len(ball)
-    for i in range(n):
-        for j in range(i + 1, n):
-            ubs = table.upper_bounds(i, j)
-            if not ubs.any():
-                continue
-            minimal = table.minimal_elements(ubs)
-            if len(minimal) < 2:
-                continue
-            witnesses = []
-            ub_idx = list(np.flatnonzero(ubs))
-            for a_pos in range(len(minimal)):
-                for b_pos in range(a_pos + 1, len(minimal)):
-                    m1, m2 = minimal[a_pos], minimal[b_pos]
-                    if not any(table.leq(z, m1) and table.leq(z, m2) for z in ub_idx):
-                        witnesses.append((m1, m2))
-            if witnesses:
-                findings.append(
-                    {
-                        "pair": sorted(
-                            [pres.canonical_str(ball.elements[i]), pres.canonical_str(ball.elements[j])]
-                        ),
-                        "upper_bounds": sorted(
-                            pres.canonical_str(ball.elements[m]) for m in minimal
-                        ),
-                        "classification": "violation candidate within ball",
-                    }
-                )
+    for i, j in zip(*np.nonzero(np.triu(candidates, 1))):
+        ubs = np.flatnonzero(rel[i] & rel[j])
+        minimal = _minimal(ubs, rel[np.ix_(ubs, ubs)])
+        if len(minimal) >= 2:
+            findings.append(
+                {
+                    "pair": sorted(pres.canonical_str(ball.elements[k]) for k in (i, j)),
+                    "upper_bounds": sorted(pres.canonical_str(ball.elements[m]) for m in minimal),
+                    "classification": "violation candidate within ball",
+                }
+            )
     findings.sort(key=lambda f: (f["pair"], f["upper_bounds"]))
     return findings
 
@@ -393,6 +361,9 @@ class IntGroup(Presentation):
 
     def leq(self, x: int, y: int) -> bool:
         return x <= y
+
+    def leq_row(self, x: int, ys: Sequence[int]) -> np.ndarray:
+        return np.asarray(ys) >= x
 
     def positive_generators(self) -> list[int]:
         return [1]
@@ -444,6 +415,12 @@ class DirectSum(Presentation):
 
     def leq(self, x: tuple, y: tuple) -> bool:
         return all(p.leq(a, b) for p, a, b in zip(self.parts, x, y))
+
+    def leq_row(self, x: tuple, ys: Sequence[tuple]) -> np.ndarray:
+        row = np.ones(len(ys), dtype=bool)
+        for k, (p, a) in enumerate(zip(self.parts, x)):
+            row &= p.leq_row(a, [y[k] for y in ys])
+        return row
 
     def positive_generators(self) -> list[tuple]:
         gens = []

@@ -71,10 +71,19 @@ def _graph(spec: str) -> GraphProduct:
         return GraphProduct(Graph(n, edges), vertices, name=f"graph:{spec}")
     path = Path(spec)
     if path.suffix == ".json" and path.exists():
-        config = json.loads(path.read_text())
-        vertices = [get_presentation(v) for v in config["vertices"]]
-        graph = Graph(len(vertices), [tuple(e) for e in config.get("edges", [])])
-        return GraphProduct(graph, vertices, name=f"graph:{path.name}")
+        try:
+            config = json.loads(path.read_text())
+        except ValueError as exc:
+            raise PresentationError(f"graph file {path.name} is not valid JSON: {exc}") from None
+        config = config if isinstance(config, dict) else {}
+        names, edges = config.get("vertices"), config.get("edges", [])
+        if not (
+            isinstance(names, list) and all(isinstance(v, str) for v in names) and isinstance(edges, list)
+            and all(isinstance(e, list) and len(e) == 2 and all(type(k) is int for k in e) for e in edges)
+        ):
+            raise PresentationError(f"graph file {path.name} needs 'vertices' (preset names) and 'edges' (index pairs)")
+        vertices = [get_presentation(v) for v in names]
+        return GraphProduct(Graph(len(vertices), edges), vertices, name=f"graph:{path.name}")
     raise PresentationError(f"unknown graph preset {spec!r}")
 
 

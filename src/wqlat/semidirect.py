@@ -11,7 +11,10 @@ inverse images; the inverse is validated on construction, not derived.
 
 from __future__ import annotations
 
-from typing import Sequence
+from functools import lru_cache
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .order import JoinResult, Presentation, PresentationError
 from .words import (
@@ -85,6 +88,8 @@ class SemidirectProduct(Presentation):
         self.join_rule = join_rule
         self.name = name or "sd:custom"
         self.metadata = metadata or {}
+        # phi^k images of words, shared by every order test of this product.
+        self._image = lru_cache(maxsize=4096)(aut.apply)
 
     def __repr__(self):
         return f"SemidirectProduct({self.name})"
@@ -101,12 +106,20 @@ class SemidirectProduct(Presentation):
     def is_positive(self, x: SdElement) -> bool:
         return is_positive_word(x[0]) and x[1] >= 0
 
-    def leq(self, x: SdElement, y: SdElement) -> bool:
+    def _above(self, x: SdElement, ys: Iterable[SdElement]):
         # (l,q) <= (m,r) iff q <= r and phi^-q(l^-1 m) is positive; this is
-        # the generic x^-1 y test unfolded.
-        if x[1] > y[1]:
-            return False
-        return is_positive_word(self.aut.apply(word_mul(word_inv(x[0]), y[0]), -x[1]))
+        # the generic x^-1 y test unfolded.  phi^-q is a homomorphism and
+        # images are reduced words, so phi^-q(l^-1 m) = phi^-q(l)^-1 phi^-q(m)
+        # and the image of l is computed once per x.
+        (l, q), image = x, self._image
+        li = word_inv(image(l, -q))
+        return (r >= q and is_positive_word(word_mul(li, image(m, -q))) for m, r in ys)
+
+    def leq(self, x: SdElement, y: SdElement) -> bool:
+        return next(self._above(x, (y,)))
+
+    def leq_row(self, x: SdElement, ys: Sequence[SdElement]) -> np.ndarray:
+        return np.fromiter(self._above(x, ys), dtype=bool, count=len(ys))
 
     def projection(self, x: SdElement) -> int:
         return x[1]

@@ -1,13 +1,14 @@
-"""Shared fixtures: presentations, balls and order tables are built once."""
+"""Shared fixtures: presentations and balls are built once.
+
+Balls memoise their order rows, so sharing a ball shares its relation.
+"""
 
 from __future__ import annotations
 
-from wqlat.order import LeqTable
 from wqlat.presets import get_presentation
 
 _PRES: dict = {}
 _BALLS: dict = {}
-_TABLES: dict = {}
 
 
 def pres_of(name: str):
@@ -21,13 +22,6 @@ def ball_of(name: str, radius: int):
     if key not in _BALLS:
         _BALLS[key] = pres_of(name).enumerate_ball(radius, cap=radius)
     return _BALLS[key]
-
-
-def table_of(name: str, radius: int) -> LeqTable:
-    key = (name, radius)
-    if key not in _TABLES:
-        _TABLES[key] = LeqTable(ball_of(name, radius))
-    return _TABLES[key]
 
 
 # Acceptance criteria report lines, printed after the run.

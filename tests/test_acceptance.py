@@ -24,7 +24,7 @@ from wqlat.presets import (
 )
 from wqlat.toeplitz import SafeRegion, check_nica, matrix_units_check
 
-from conftest import ball_of, pres_of, record_criterion, table_of
+from conftest import ball_of, pres_of, record_criterion
 
 NICA_RADII = {"bs:2,-3": 8}
 
@@ -36,16 +36,15 @@ def test_criterion_1_structural_joins_match_oracle():
         pres = pres_of(name)
         small = ball_of(name, 4)
         big = ball_of(name, 6)
-        table = table_of(name, 6)
         for x in small:
             for y in small:
                 r = pres.join(x, y)
                 if r.is_finite and r.value in big:
-                    o = oracle_join(pres, x, y, big, table)
+                    o = oracle_join(pres, x, y, big)
                     if o != r:
                         discrepancies.append((name, pres.canonical_str(x), pres.canonical_str(y)))
                 elif r.is_infinite:
-                    o = oracle_join(pres, x, y, big, table)
+                    o = oracle_join(pres, x, y, big)
                     if o.is_finite:
                         discrepancies.append((name, pres.canonical_str(x), pres.canonical_str(y)))
     elapsed = time.time() - start
@@ -63,7 +62,7 @@ def test_criterion_1_structural_joins_match_oracle():
 def test_criterion_2_weak_ql_controls():
     dirty = []
     for name in ACCEPTANCE_PRESETS:
-        findings = check_weak_ql(pres_of(name), ball_of(name, 5), table_of(name, 5))
+        findings = check_weak_ql(pres_of(name), ball_of(name, 5))
         if findings:
             dirty.append((name, findings[:2]))
     nx = pres_of("sd:nonexample")
@@ -151,7 +150,7 @@ def test_criterion_5_controlled_map_suites():
         mor = morphism_for(pres)
         radius = 3 if pres.family in ("graphprod", "hnn") else 4
         ball = ball_of(name, radius)
-        if check_order_preserving(mor, ball, table_of(name, radius)):
+        if check_order_preserving(mor, ball):
             problems.append((name, "order"))
         if not check_join_preserving(mor, ball)["ok"]:
             problems.append((name, "join"))
@@ -186,7 +185,7 @@ def test_criterion_6_morphism_structure():
         pres = pres_of(name)
         mor = morphism_for(pres)
         ball = ball_of(name, 3)
-        if check_order_preserving(mor, ball, table_of(name, 3)):
+        if check_order_preserving(mor, ball):
             problems.append((name, "order"))
         if not check_join_preserving(mor, ball)["ok"]:
             problems.append((name, "join"))
@@ -203,10 +202,9 @@ def test_criterion_6_morphism_structure():
     hm = pres_of("hnn-:x,y@x,y")
     small = ball_of("hnn-:x,y@x,y", 3)
     big = ball_of("hnn-:x,y@x,y", 5)
-    table = table_of("hnn-:x,y@x,y", 5)
     for x in small:
         for y in small:
-            if table.upper_bounds(big.position(x), big.position(y)).any():
+            if (big.leq_row(big.position(x)) & big.leq_row(big.position(y))).any():
                 if not (hm.leq(x, y) or hm.leq(y, x)):
                     problems.append(("hnn-", "comparability", hm.canonical_str(x), hm.canonical_str(y)))
     ok = not problems

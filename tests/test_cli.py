@@ -44,6 +44,28 @@ class TestElementVerbs:
         assert code == 0
         assert out.count("finite a b") == 2
 
+    def test_join_decided_by_oracle_builds_one_ball(self, capsys, monkeypatch):
+        # sd:nonexample has no structural join, so the oracle decides a v ab
+        # and there is no separate cross-check to report.
+        import wqlat.cli as cli
+        from wqlat.semidirect import SemidirectProduct
+
+        calls = {"ball": 0, "oracle": 0}
+        build, oracle = SemidirectProduct.enumerate_ball, cli.oracle_join
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(SemidirectProduct, "enumerate_ball", counted("ball", build))
+        monkeypatch.setattr(cli, "oracle_join", counted("oracle", oracle))
+        code, out, _ = run(capsys, "join", "sd:nonexample", "a", "a b", "--oracle", "--radius", "4", "--json")
+        assert code == 0 and calls == {"ball": 1, "oracle": 1}
+        assert json.loads(out)["findings"] == [{"join": "finite a b"}]
+
     def test_join_oracle_fallback_inconclusive(self, capsys):
         code, out, _ = run(capsys, "join", "sd:nonexample", "a", "b", "--radius", "3")
         assert code == 3
@@ -185,6 +207,18 @@ class TestUsageErrors:
         code, out, err = run(capsys, *argv)
         assert code == 64 and out == ""
         assert err.startswith("wqlat: error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "content",
+        ["{not json", '{"edges": []}', '{"vertices": ["free:1", "free:1"], "edges": [[0]]}', "[]"],
+        ids=["not-json", "no-vertices", "bad-edge", "not-an-object"],
+    )
+    def test_bad_graph_file(self, capsys, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_text(content)
+        code, out, err = run(capsys, "nf", f"graph:{path}", "e")
+        assert code == 64 and out == ""
+        assert err.startswith("wqlat: error: graph file bad.json") and err.count("\n") == 1
 
 
 class TestParseRoundTrips:

@@ -10,7 +10,7 @@ from wqlat.controlled import (
 )
 from wqlat.presets import lambda_witness_for, morphism_for, sigma_witness_for
 
-from conftest import ball_of, pres_of, table_of
+from conftest import ball_of, pres_of
 
 SIGMA_PRESETS = ["free:2", "scarparo", "bs:2,3", "hnn+:x,y@x,y", "graph:path3", "sd:swap2", "sd:phi-ab"]
 LAMBDA_PRESETS = ["bs:2,-3", "bs:1,-1", "hnn-:x,y@x,y"]
@@ -26,7 +26,7 @@ class TestBasicLaws:
         pres = pres_of(name)
         mor = morphism_for(pres)
         r = radius_for(pres)
-        assert check_order_preserving(mor, ball_of(name, r), table_of(name, r)) == []
+        assert check_order_preserving(mor, ball_of(name, r)) == []
 
     @pytest.mark.parametrize("name", SIGMA_PRESETS + LAMBDA_PRESETS)
     def test_join_preserving(self, name):

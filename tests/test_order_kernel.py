@@ -1,0 +1,126 @@
+"""The ball order relation against the generic order, and pinned scan reports.
+
+``Ball.order()`` is filled by each family's ``leq_row`` hook; these tests
+compare it with the base formula ``is_positive(mul(inv(x), y))`` called
+unbound, so a family override cannot hide behind itself.
+"""
+
+import hashlib
+import json
+import random
+
+import numpy as np
+import pytest
+
+from wqlat.cli import main
+from wqlat.order import DirectSum, IntGroup, Presentation
+from wqlat.words import FreeGroup
+
+from conftest import ball_of, pres_of
+
+KERNEL_PRESETS = (
+    "free:2",
+    "scarparo",
+    "bs:2,3",
+    "bs:2,-3",
+    "hnn+:x,y@x,y",
+    "hnn-:x,y@x,y",
+    "graph:path3",
+    "sd:perm3",
+    "sd:phi-ab",
+    "sd:nonexample",
+)
+
+
+def generic_matrix(pres, ball):
+    return np.array([[Presentation.leq(pres, x, y) for y in ball] for x in ball], dtype=bool)
+
+
+class TestOrderMatrix:
+    @pytest.mark.parametrize("name", KERNEL_PRESETS)
+    def test_matches_generic_order(self, name):
+        ball = ball_of(name, 3)
+        assert np.array_equal(ball.order(), generic_matrix(pres_of(name), ball)), name
+
+    @pytest.mark.parametrize(
+        "pres", [IntGroup(), DirectSum((IntGroup(), FreeGroup(2, ("a", "b"))))], ids=["int", "directsum"]
+    )
+    def test_int_and_direct_sum(self, pres):
+        ball = pres.enumerate_ball(3)
+        assert np.array_equal(ball.order(), generic_matrix(pres, ball))
+
+    def test_rows_memoised_read_only_and_shared_with_order(self):
+        ball = pres_of("sd:phi-ab").enumerate_ball(2)
+        row = ball.leq_row(1)
+        assert ball.leq_row(1) is row and not row.flags.writeable
+        rel = ball.order()
+        assert ball.order() is rel and not rel.flags.writeable
+        assert np.array_equal(rel[1], row)
+
+
+SD_LETTERS = {
+    "sd:perm3": ("a", "b", "c", "s"),
+    "sd:phi-ab": ("a", "b", "s"),
+    "sd:nonexample": ("a", "b", "s"),
+}
+
+
+def random_element(pres, rng, letters, length, signed=True):
+    tokens = [rng.choice(letters) + (rng.choice(("", "^-1")) if signed else "") for _ in range(length)]
+    return pres.parse(" ".join(tokens) or "e")
+
+
+@pytest.mark.parametrize("name", sorted(SD_LETTERS))
+def test_semidirect_leq_matches_generic_on_signed_elements(name):
+    pres, letters = pres_of(name), SD_LETTERS[name]
+    rng = random.Random(f"sd-leq-{name}")
+    pairs = []
+    for _ in range(150):
+        x = random_element(pres, rng, letters, rng.randint(0, 6))
+        y = random_element(pres, rng, letters, rng.randint(0, 6))
+        # x times a positive element lies above x: the rows need true entries.
+        above = pres.mul(x, random_element(pres, rng, letters, rng.randint(0, 4), signed=False))
+        pairs += [(x, y), (y, x), (x, above)]
+    assert any(x[1] < 0 for x, _ in pairs) and any(y[1] < 0 for _, y in pairs)
+    expected = [Presentation.leq(pres, x, y) for x, y in pairs]
+    assert [pres.leq(x, y) for x, y in pairs] == expected
+    assert all(expected[2::3])
+    ys = [y for _, y in pairs]
+    for x, _ in pairs[:60:3]:
+        assert pres.leq_row(x, ys).tolist() == [Presentation.leq(pres, x, y) for y in ys]
+
+
+# sha256 of the stdout of ``wqlat check-wql P --radius 4 --json``, recorded
+# with the LeqTable implementation this scan replaced.
+WQL_RADIUS4_DIGESTS = {
+    "free:2": "81907469624931a5ecb3e9ce48d5d92ca0a137c7bfe5d67d4db0183e7613e7df",
+    "scarparo": "eeef7715c2c0d2b19bfd32d1350fd9df3a0f00858e5fb34f873329e1d2a4fde0",
+    "bs:1,2": "b2071d272cf20257c9d4e8e0679ddc9b2781a4734bd48bb92955677c6f3c0447",
+    "bs:2,3": "8eb46eebf92506ad5bf270c46ebf84e8cf9d89e666a78890acbedb76cd0191ac",
+    "bs:2,-3": "798e6e99f98773ca45fa00d68a2cb14dc8defe4a806da2864621250b842b8cda",
+    "bs:1,-1": "c12b12e1c103426b0a3a013d64a0cdd04c2b8d19526bfef5ea37f1ff5c02beba",
+    "hnn+:x,y@x,y": "59a3a34de0a88d6d5a499d8a23864f9b41393a4dca1a5bca9423feda9dd240e5",
+    "hnn-:x,y@x,y": "9d5f166a8b6b195ffeb78f150f244b691367488eb5669e24e735cf944634b430",
+    "graph:path3": "741d00b78da8132772d0cf42f2d65aec1fe58b44bcf3154d461d95bec8e20bf9",
+    "graph:noedge2": "fc170b43225edba19a69e4bd5dbc5dc126d705ffcbaf6c3a57f932e8da6fea3f",
+    "graph:complete2": "b259d4eb40c72622b1322e2ff2af9facd57d06adb92be6c487e91eb48234f74d",
+    "graph:square4.json": "7f2b4774428c82a753af744381eb74b85a72570a2538ae0d256dbc6f4ac7e35c",
+    "sd:swap2": "e02bf8ff295b1d72652e1a1b709f9d8f696084d2c045c9848d0e724777c451f1",
+    "sd:perm3": "05988b015b778849eb9a0791bd339d890896359adf390147a130b3e8f8d7f9ff",
+    "sd:phi-ab": "fc3f8ef0c7f8e610928b080d0db35a6c31ef1217bad106ae85225bea07d6183e",
+    "sd:nonexample": "a59476490138c81e02dcc2b06be172ba581d023600b0094a2af5a3cc71594b82",
+}
+SQUARE4 = {"vertices": ["free:1"] * 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}
+
+
+@pytest.mark.parametrize("name", sorted(WQL_RADIUS4_DIGESTS))
+def test_check_wql_report_digest(name, capsys, tmp_path):
+    preset = name
+    if name.endswith(".json"):
+        path = tmp_path / "square4.json"
+        path.write_text(json.dumps(SQUARE4))
+        preset = f"graph:{path}"
+    code = main(["check-wql", preset, "--radius", "4", "--json"])
+    out = capsys.readouterr().out
+    assert code == (2 if name == "sd:nonexample" else 0)
+    assert hashlib.sha256(out.encode()).hexdigest() == WQL_RADIUS4_DIGESTS[name]
