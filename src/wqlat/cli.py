@@ -31,6 +31,7 @@ from .presets import (
     sigma_witness_for,
 )
 from .toeplitz import SafeRegion, check_nica
+from .words import format_word
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 2
@@ -215,16 +216,9 @@ def run(args) -> int:
 
 
 def _witness_str(pres, witness) -> str:
-    names = getattr(pres, "gen_names", None)
-    if names is None:
-        base = getattr(pres, "base", None)
-        names = base.gen_names + ("t",) if base is not None else ()
-    from .words import format_word
-
-    try:
-        return format_word(tuple(witness), names)
-    except Exception:
-        return str(witness)
+    # Witnesses are words in the positive letters; HNN adds t to its base's.
+    names = pres.gen_names if hasattr(pres, "gen_names") else pres.base.gen_names + ("t",)
+    return format_word(tuple(witness), names)
 
 
 def _run_check_controlled(pres, args) -> int:

@@ -327,11 +327,12 @@ class HnnExtension(Presentation):
         # and the shortest verified candidate is automatically the least.
         tail_y = self.tail(y)
         radius = len(tail_y) + self.size(x) + len(self.u) + len(self.w)
-        stem_parts = y[0][:-1]
+        # cand is y r_extra, so y <= cand; x <= cand is the generic leq, inverting x once.
+        stem_parts, xi = y[0][:-1], self.inv(x)
         for r_extra in positive_words(self.base.n_gens, radius - len(tail_y)):
             r = word_mul(tail_y, r_extra)
             cand = (stem_parts + (r,), y[1])
-            if self.leq(x, cand) and self.leq(y, cand):
+            if self.is_positive(self.mul(xi, cand)):
                 return JoinResult.finite(cand)
         return JoinResult.inconclusive_within(radius)
 

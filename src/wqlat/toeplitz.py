@@ -6,7 +6,8 @@ compositions are gathers, adjoints scatters, and range projections and
 restrictions masks, so every identity in scope holds exactly with no
 floating point.  Comparisons are restricted to a safe region, a smaller
 concentric ball on which truncation cannot cut off the compositions under
-test.
+test.  There the Nica check reads the range of T_z as "z^-1 p in the
+ball", with one inverse per shift and no whole-ball shift.
 """
 
 from __future__ import annotations
@@ -150,37 +151,41 @@ def diagonal_expectation(op: PartialInjection) -> PartialInjection:
     return PartialInjection.partial_identity(op.arr == np.arange(op.size))
 
 
+def safe_masks(pres: Presentation, z, ball: Ball, safe: SafeRegion) -> tuple[np.ndarray, np.ndarray]:
+    """Over safe p: z <= p (z^-1 p positive) and p in the range of T_z (z^-1 p in the ball)."""
+    zi = pres.inv(z)
+    quotients = [pres.mul(zi, ball.elements[p]) for p in safe.indices]
+    up = np.array([pres.is_positive(q) for q in quotients], dtype=bool)
+    return up, np.array([q in ball for q in quotients], dtype=bool)
+
+
 def check_nica(pres: Presentation, x, y, ball: Ball, safe: SafeRegion) -> dict:
     """Covariance of the range projections of two positive shifts.
 
     Logical form: on every safe p, (x <= p and y <= p) holds exactly when
     the join is finite and below p.  Operator form: the product of range
     projections equals the range projection of the join (zero when the
-    join is infinite), all restricted to the safe region.
+    join is infinite), all restricted to the safe region.  A safe p is in
+    the range of T_z iff z^-1 p is in the ball: one inverse per shift.
     """
     join = pres.join(x, y)
     if join.is_inconclusive:
         return {"verdict": "inconclusive", "join": join}
     for z in (x, y):
         ball.position(z)  # raises ElementOutsideBall off the ball
-    safe_idx = np.asarray(safe.indices, dtype=np.intp)
-    safe_els = [ball.elements[p] for p in safe.indices]
     shifts = [x, y] + ([join.value] if join.is_finite else [])
     above, ranges = [], []
     for z in shifts:
-        # z <= p, and p in the range of T_z T_z^*, over the safe region.
-        # The operator form needs every quotient z^-1 p with z <= p inside
-        # the ball, i.e. p in the range of T_z; otherwise the adjoint
-        # truncates and the comparison is meaningless.
-        up = np.fromiter((pres.leq(z, el) for el in safe_els), dtype=bool, count=len(safe_els))
-        rng = toeplitz_op(ball, z).image_mask()[safe_idx]
+        # A positive quotient off the ball means the adjoint of T_z
+        # truncates, and the comparison is meaningless.
+        up, rng = safe_masks(pres, z, ball, safe)
         if (up & ~rng).any():
             return {"verdict": "truncated", "join": join, "shift": z}
         above.append(up)
         ranges.append(rng)
     if not join.is_finite:
         # An infinite join has no shift: its range projection is zero.
-        above.append(np.zeros(len(safe_els), dtype=bool))
+        above.append(np.zeros(len(safe.indices), dtype=bool))
         ranges.append(above[-1])
     (ux, uy, uj), (rx, ry, rj) = above, ranges
     logical_ok = bool(np.array_equal(ux & uy, uj))

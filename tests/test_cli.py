@@ -31,6 +31,24 @@ class TestElementVerbs:
         code, out, _ = run(capsys, "pos", "bs:2,-3", "a b^-7")
         assert code == 0 and "true" in out and "witness" in out
 
+    @pytest.mark.parametrize(
+        "name,element",
+        [
+            ("free:2", "a b a"),
+            ("scarparo", "b a^2"),
+            ("bs:2,3", "b a b^2"),
+            ("bs:2,-3", "a b^-1"),
+            ("hnn+:x,y@x,y", "x t y t x"),
+            ("hnn-:x,y@x,y", "t x t y"),
+        ],
+    )
+    def test_pos_witness_parses_back(self, capsys, name, element):
+        code, out, _ = run(capsys, "pos", name, element, "--json")
+        finding = json.loads(out)["findings"][0]
+        pres = pres_of(name)
+        assert code == 0 and finding["positive"]
+        assert pres.parse(finding["witness"]) == pres.parse(element)
+
     def test_leq(self, capsys):
         code, out, _ = run(capsys, "leq", "bs:2,-3", "a b^-3 a^-1", "b^3 a")
         assert code == 0 and "true" in out
