@@ -10,11 +10,10 @@ from .order import (
     Presentation,
     PresentationError,
     check_weak_ql,
-    enumerate_ball,
     oracle_join,
     verify_join,
 )
-from .presets import get_presentation, morphism_for
+from .presets import get_presentation
 
 __all__ = [
     "Ball",
@@ -26,9 +25,7 @@ __all__ = [
     "Presentation",
     "PresentationError",
     "check_weak_ql",
-    "enumerate_ball",
     "oracle_join",
     "verify_join",
     "get_presentation",
-    "morphism_for",
 ]

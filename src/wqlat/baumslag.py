@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
-from .order import JoinResult, Presentation, PresentationError
+from .controlled import Morphism
+from .order import IntGroup, JoinResult, Presentation, PresentationError
 from .words import parse_word
 
 # Element layout: (exps, eps) with len(exps) == len(eps) + 1.
@@ -157,6 +159,35 @@ class BaumslagSolitar(Presentation):
 
     def height(self, x: BsWord) -> int:
         return sum(x[1])
+
+    # -- controlled map: the height -----------------------------------------
+
+    @property
+    def has_chain(self) -> bool:
+        return self.params.d_signed < 0
+
+    def morphism(self) -> Morphism:
+        return Morphism("height", self, IntGroup(), self.height)
+
+    def sigma_witness(self, q: int, ball) -> list:
+        """Minimal elements of height q: the words b^s1 a ... b^sq a with 0 <= s_i < d'.
+
+        For d' < 0 no fiber above height zero has minimal elements.
+        """
+        if q == 0:
+            return [self.identity()]
+        if self.has_chain:
+            return []
+        return [(s + (0,), (1,) * q) for s in product(range(self.params.d_signed), repeat=q)]
+
+    def lambda_witness(self, q: int, ball) -> list:
+        """For d' < 0, the chain n -> p b^-n for each prefix p = b^l1 a ... b^lq a in the fiber."""
+        if not self.has_chain:
+            return super().lambda_witness(q, ball)
+        if q == 0:
+            return [("e", lambda n: self.identity())]
+        labels = sorted({x[0][:q] for x in ball if self.height(x) == q})
+        return [(str(label), lambda n, label=label: (label + (-n,), (1,) * q)) for label in labels]
 
     def join(self, x: BsWord, y: BsWord) -> JoinResult:
         for z in (x, y):

@@ -24,12 +24,7 @@ from .order import (
     check_weak_ql,
     oracle_join,
 )
-from .presets import (
-    get_presentation,
-    lambda_witness_for,
-    morphism_for,
-    sigma_witness_for,
-)
+from .presets import get_presentation
 from .toeplitz import SafeRegion, check_nica
 from .words import format_word
 
@@ -143,9 +138,9 @@ def run(args) -> int:
         x = pres.parse(args.element)
         positive = pres.is_positive(x)
         finding = {"positive": positive}
-        witness = getattr(pres, "positive_witness", lambda _: None)(x)
+        witness = pres.positive_witness(x)
         if witness is not None:
-            finding["witness"] = _witness_str(pres, witness)
+            finding["witness"] = format_word(witness, pres.gen_names)
         report = report_for("pos", pres, {"element": args.element}, [finding], "pass")
         return emit(report, args.json)
 
@@ -215,21 +210,12 @@ def run(args) -> int:
     raise AssertionError(f"unhandled verb {args.verb}")
 
 
-def _witness_str(pres, witness) -> str:
-    # Witnesses are words in the positive letters; HNN adds t to its base's.
-    names = pres.gen_names if hasattr(pres, "gen_names") else pres.base.gen_names + ("t",)
-    return format_word(tuple(witness), names)
-
-
 def _run_check_controlled(pres, args) -> int:
-    mor = morphism_for(pres)
+    if args.chain_depth < 0:
+        raise PresentationError(f"--chain-depth must be nonnegative, got {args.chain_depth}")
+    mor = pres.morphism()
     ball = pres.enumerate_ball(args.radius, cap=args.max_radius)
-    mode = args.mode
-    if mode is None:
-        chain_family = (pres.family == "bs" and pres.params.d_signed < 0) or (
-            pres.family == "hnn" and pres.mode == -1
-        )
-        mode = "lambda" if chain_family else "sigma"
+    mode = args.mode or ("lambda" if pres.has_chain else "sigma")
     findings = []
     order_failures = check_order_preserving(mor, ball)
     if order_failures:
@@ -239,7 +225,7 @@ def _run_check_controlled(pres, args) -> int:
         findings.append({"join_failures": len(join_report["failures"])})
     inconclusive = False
     if mode == "sigma":
-        report = check_sigma_axioms(mor, sigma_witness_for(pres, mor), ball)
+        report = check_sigma_axioms(mor, pres.sigma_witness, ball)
         if not report["ok"]:
             findings.append(
                 {
@@ -250,9 +236,7 @@ def _run_check_controlled(pres, args) -> int:
                 }
             )
     else:
-        report = check_decreasing_cover(
-            mor, lambda_witness_for(pres, mor), ball, args.chain_depth
-        )
+        report = check_decreasing_cover(mor, pres.lambda_witness, ball, args.chain_depth)
         if report["increase_depth"]:
             findings.append({"uncovered": len(report["uncovered"]), "hint": "increase chain depth"})
             inconclusive = True

@@ -7,7 +7,9 @@ A morphism is checked against two axiom styles on a finite ball:
 * decreasing-chain style: each fiber splits into classes S_lambda, each
   the union of the upper sets of a decreasing chain s_n.
 
-Witness data is supplied per family; verification never synthesises it.
+Witness data comes from the family: ``Presentation.morphism()`` gives the
+map, and the bound methods ``sigma_witness`` and ``lambda_witness`` are the
+witnesses these checks take.  Verification never synthesises it.
 """
 
 from __future__ import annotations
@@ -143,18 +145,6 @@ def check_decreasing_cover(mor: Morphism, witness: LambdaWitness, ball: Ball, de
         "increase_depth": bool(uncovered),
         "ok": not (chain_failures or disjointness_failures or separation_failures or uncovered),
     }
-
-
-def sigma_to_lambda(witness: SigmaWitness) -> LambdaWitness:
-    """Constant chains: every minimal-element witness is a chain witness."""
-
-    def wrapped(q, ball):
-        out = []
-        for k, s in enumerate(witness(q, ball)):
-            out.append((f"const{k}", lambda n, s=s: s))
-        return out
-
-    return wrapped
 
 
 def kernel_cone(mor: Morphism, ball: Ball) -> list:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from typing import Sequence
 
+from .controlled import Morphism
 from .order import DirectSum, JoinResult, Presentation, PresentationError
 
 GpElement = tuple  # tuple[tuple[int, Element], ...]
@@ -188,6 +189,9 @@ class GraphProduct(Presentation):
 
     def phi_target(self) -> DirectSum:
         return DirectSum(self.vertices)
+
+    def morphism(self) -> Morphism:
+        return Morphism("vertexwise", self, self.phi_target(), self.phi)
 
     def positive_generators(self) -> list[GpElement]:
         gens = []

@@ -17,8 +17,10 @@ double cosets ``<w> h <u>`` having a representative in the free monoid.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
-from .order import JoinResult, Presentation, PresentationError
+from .controlled import Morphism
+from .order import IntGroup, JoinResult, Presentation, PresentationError
 from .words import (
     EMPTY,
     FWord,
@@ -112,6 +114,7 @@ class HnnExtension(Presentation):
             if not (word and is_positive_word(word)):
                 raise PresentationError(f"{label} must be a nonempty positive word")
         self.base = base
+        self.gen_names = base.gen_names + ("t",)
         self.u = u
         self.w = w
         self.mode = mode
@@ -122,8 +125,9 @@ class HnnExtension(Presentation):
             f"{''.join(base.gen_names[g] for g, _ in w)}@{','.join(base.gen_names)}"
         )
         self._pos_cache: dict[HnnWord, bool] = {}
-        self._dc_cache: dict[FWord, tuple[int, int] | None] = {}
-        self._wq_cache: dict[FWord, int | None] = {}
+        # Bounded per-instance memos of the two base-word searches.
+        self.w_power_decomposition = lru_cache(maxsize=4096)(self.w_power_decomposition)
+        self.double_coset_positive = lru_cache(maxsize=4096)(self.double_coset_positive)
 
     def __repr__(self):
         return f"HnnExtension({self.name})"
@@ -188,17 +192,11 @@ class HnnExtension(Presentation):
 
     def w_power_decomposition(self, h: FWord) -> int | None:
         """m with h = w^m q for positive q, scanning a trimmed window."""
-        cached = self._wq_cache.get(h, "miss")
-        if cached != "miss":
-            return cached
         bound = math.ceil(len(h) / len(self.w)) + 1
-        found = None
         for m in sorted(range(-bound, bound + 1), key=abs):
             if is_positive_word(word_mul(word_pow(self.w, -m), h)):
-                found = m
-                break
-        self._wq_cache[h] = found
-        return found
+                return m
+        return None
 
     def double_coset_positive(self, h: FWord) -> tuple[int, int] | None:
         """(m, n) with w^m h u^n positive, or None within the trimmed window.
@@ -207,22 +205,14 @@ class HnnExtension(Presentation):
         surplus positive copies cannot destroy positivity, so any witness
         can be trimmed into the window below.
         """
-        cached = self._dc_cache.get(h, "miss")
-        if cached != "miss":
-            return cached
         mb = math.ceil(len(h) / len(self.w)) + 1
         nb = math.ceil(len(h) / len(self.u)) + 1
-        found = None
         for m in sorted(range(-mb, mb + 1), key=abs):
             wh = word_mul(word_pow(self.w, m), h)
             for n in sorted(range(-nb, nb + 1), key=abs):
                 if is_positive_word(word_mul(wh, word_pow(self.u, n))):
-                    found = (m, n)
-                    break
-            if found:
-                break
-        self._dc_cache[h] = found
-        return found
+                    return m, n
+        return None
 
     def is_positive(self, x: HnnWord) -> bool:
         cached = self._pos_cache.get(x)
@@ -300,6 +290,35 @@ class HnnExtension(Presentation):
     def size(self, x: HnnWord) -> int:
         return sum(len(p) for p in x[0]) + len(x[1])
 
+    # -- controlled map: the height -----------------------------------------
+
+    @property
+    def has_chain(self) -> bool:
+        return self.mode == MINUS
+
+    def morphism(self) -> Morphism:
+        return Morphism("height", self, IntGroup(), self.height)
+
+    def _stems(self, q: int, ball) -> list[HnnWord]:
+        return sorted({self.stem(x) for x in ball if self.height(x) == q}, key=self.canonical_str)
+
+    def sigma_witness(self, q: int, ball) -> list:
+        """PLUS: the stems of the height-q fiber; MINUS: none above height zero."""
+        if self.has_chain:
+            return [self.identity()] if q == 0 else []
+        return self._stems(q, ball)
+
+    def lambda_witness(self, q: int, ball) -> list:
+        """MINUS: the chain n -> stem w^-n for each stem of the height-q fiber."""
+        if not self.has_chain:
+            return super().lambda_witness(q, ball)
+        if q == 0:
+            return [("e", lambda n: self.identity())]
+        return [
+            (self.canonical_str(stem), lambda n, stem=stem: (stem[0][:-1] + (word_pow(self.w, -n),), stem[1]))
+            for stem in self._stems(q, ball)
+        ]
+
     def join(self, x: HnnWord, y: HnnWord) -> JoinResult:
         for z in (x, y):
             if not self.is_positive(z):
@@ -357,4 +376,4 @@ class HnnExtension(Presentation):
     def parse(self, text: str) -> HnnWord:
         from .words import parse_word
 
-        return self.normal_form(parse_word(text, self.base.gen_names + ("t",)))
+        return self.normal_form(parse_word(text, self.gen_names))

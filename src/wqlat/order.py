@@ -4,6 +4,9 @@ A :class:`Presentation` packages one positive cone P inside a group G with
 the capability set used everywhere else: identity, multiplication, inverse,
 positivity, the induced left-invariant order ``x <= y iff x^-1 y in P``,
 a structural join where the family has one, and canonical strings.
+It also carries the family's controlled-map data: the canonical morphism
+into an amenable ordered group, minimal-element and decreasing-chain
+witnesses, and positive-letter witnesses of positivity.
 
 On top of that sit finite balls (breadth-first closure of {e} under the
 positive generators) with their order relation, a conservative brute-force
@@ -19,9 +22,12 @@ upper bound but never the absence of one.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .controlled import Morphism
 
 DEFAULT_RADIUS_CAP = 6
 
@@ -126,6 +132,9 @@ class Presentation:
 
     family = "abstract"
     name = "abstract"
+    # True where the family's controlled map is verified by decreasing
+    # chains rather than by minimal elements.
+    has_chain = False
 
     def identity(self) -> Element:
         raise NotImplementedError
@@ -165,6 +174,23 @@ class Presentation:
 
     def chain_demo(self, depth: int, ball=None) -> dict:
         raise PresentationError(f"{self.name} has no descending chain demonstration")
+
+    def positive_witness(self, x: Element):
+        """Word in the positive letters ``gen_names`` multiplying back to x, or None."""
+        return None
+
+    def morphism(self) -> "Morphism":
+        """Canonical controlled map of the family into an amenable ordered group."""
+        raise PresentationError(f"{self.name} has no canonical controlled map")
+
+    def sigma_witness(self, q, ball: "Ball") -> list:
+        """Minimal-element witness Sigma_q, sliced to a ball: here the fiber over q."""
+        mor = self.morphism()
+        return [x for x in ball if mor(x) == q]
+
+    def lambda_witness(self, q, ball: "Ball") -> list:
+        """Decreasing-chain witness ``(label, chain)``: here constant chains on Sigma_q."""
+        return [(f"const{k}", lambda n, s=s: s) for k, s in enumerate(self.sigma_witness(q, ball))]
 
     def enumerate_ball(self, radius: int, cap: int | None = None) -> "Ball":
         """Breadth-first closure of {e} under right multiplication."""
@@ -263,10 +289,6 @@ class Ball:
             self._order = np.vstack([self.leq_row(i) for i in range(len(self))])
             self._order.flags.writeable = False
         return self._order
-
-
-def enumerate_ball(pres: Presentation, radius: int, cap: int | None = None) -> Ball:
-    return pres.enumerate_ball(radius, cap=cap)
 
 
 def _minimal(idx: np.ndarray, rel: np.ndarray) -> np.ndarray:

@@ -1,18 +1,16 @@
-"""Named presets wiring each family to its canonical morphism and witnesses."""
+"""Named presets: the registry that parses preset names into presentations."""
 
 from __future__ import annotations
 
 import json
-from itertools import product
 from pathlib import Path
 
 from . import semidirect as sd
 from .baumslag import BaumslagSolitar
-from .controlled import Morphism
 from .graphprod import Graph, GraphProduct
 from .hnn import MINUS, PLUS, HnnExtension
-from .order import DirectSum, IntGroup, Presentation, PresentationError
-from .words import EMPTY, FreeGroup, ScarparoCone, word_pow
+from .order import Presentation, PresentationError
+from .words import FreeGroup, ScarparoCone
 
 
 def get_presentation(name: str) -> Presentation:
@@ -97,151 +95,6 @@ def _semidirect(spec: str) -> sd.SemidirectProduct:
     if spec not in factories:
         raise PresentationError(f"unknown semidirect preset {spec!r}")
     return factories[spec]()
-
-
-# -- canonical morphisms -----------------------------------------------------
-
-
-def letter_sum(word) -> int:
-    return sum(sign for _, sign in word)
-
-
-def morphism_for(pres: Presentation) -> Morphism:
-    if pres.family in ("free", "scarparo"):
-        return Morphism("length", pres, IntGroup(), letter_sum)
-    if pres.family == "bs":
-        return Morphism("height", pres, IntGroup(), pres.height)
-    if pres.family == "hnn":
-        return Morphism("height", pres, IntGroup(), pres.height)
-    if pres.family == "graphprod":
-        return Morphism("vertexwise", pres, pres.phi_target(), pres.phi)
-    if pres.family == "semidirect":
-        if pres.join_rule == sd.SemidirectProduct.JOIN_PHI_AB:
-            target = DirectSum((IntGroup(), IntGroup()))
-            return Morphism(
-                "exp-sum-pair",
-                pres,
-                target,
-                lambda x: (sum(s for g, s in x[0] if g == 0), x[1]),
-            )
-        return Morphism("projection", pres, IntGroup(), pres.projection)
-    raise PresentationError(f"no canonical morphism for family {pres.family}")
-
-
-# -- witness data -------------------------------------------------------------
-
-
-def _fiber_sigma(mor: Morphism):
-    def witness(q, ball):
-        return [x for x in ball if mor(x) == q]
-
-    return witness
-
-
-def sigma_witness_for(pres: Presentation, mor: Morphism):
-    """Minimal-element witness data, sliced to a ball where infinite."""
-    if pres.family in ("free", "scarparo", "graphprod"):
-        return _fiber_sigma(mor)
-    if pres.family == "bs":
-        if pres.params.d_signed > 0:
-            d = pres.params.d_signed
-
-            def witness(q, ball):
-                if q == 0:
-                    return [pres.identity()]
-                return [
-                    (tuple(s) + (0,), (1,) * q) for s in product(range(d), repeat=q)
-                ]
-
-            return witness
-
-        def witness(q, ball):  # minimal elements: none above height zero
-            return [pres.identity()] if q == 0 else []
-
-        return witness
-    if pres.family == "hnn":
-        if pres.mode == PLUS:
-
-            def witness(q, ball):
-                return sorted(
-                    {pres.stem(x) for x in ball if mor(x) == q},
-                    key=pres.canonical_str,
-                )
-
-            return witness
-
-        def witness(q, ball):
-            return [pres.identity()] if q == 0 else []
-
-        return witness
-    if pres.family == "semidirect":
-        if pres.join_rule == sd.SemidirectProduct.JOIN_PHI_AB:
-            # Strip trailing b-letters off each fiber member: the result is
-            # the minimal element below it and need not lie in the ball.
-            def witness(q, ball):
-                out = set()
-                for x in ball:
-                    if mor(x) == q:
-                        word = x[0]
-                        while word and word[-1] == (1, 1):
-                            word = word[:-1]
-                        out.add((word, x[1]))
-                return sorted(out, key=pres.canonical_str)
-
-            return witness
-
-        def witness(q, ball):
-            return [(EMPTY, q)]
-
-        return witness
-    raise PresentationError(f"no sigma witness for family {pres.family}")
-
-
-def lambda_witness_for(pres: Presentation, mor: Morphism):
-    """Decreasing-chain witness data for the chain families."""
-    if pres.family == "bs" and pres.params.d_signed < 0:
-
-        def witness(q, ball):
-            if q == 0:
-                return [("e", lambda n: pres.identity())]
-            labels = sorted({x[0][:q] for x in ball if mor(x) == q})
-            out = []
-            for label in labels:
-                out.append(
-                    (
-                        str(label),
-                        lambda n, label=label: (label + (-n,), (1,) * q),
-                    )
-                )
-            return out
-
-        return witness
-    if pres.family == "hnn" and pres.mode == MINUS:
-        w = pres.w
-
-        def witness(q, ball):
-            if q == 0:
-                return [("e", lambda n: pres.identity())]
-            stems = sorted(
-                {pres.stem(x) for x in ball if mor(x) == q}, key=pres.canonical_str
-            )
-            out = []
-            for stem in stems:
-                out.append(
-                    (
-                        pres.canonical_str(stem),
-                        lambda n, stem=stem: (
-                            stem[0][:-1] + (word_pow(w, -n),),
-                            stem[1],
-                        ),
-                    )
-                )
-            return out
-
-        return witness
-    from .controlled import sigma_to_lambda
-
-    return sigma_to_lambda(sigma_witness_for(pres, mor))
 
 
 ACCEPTANCE_PRESETS = (

@@ -16,7 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .order import JoinResult, Presentation, PresentationError
+from .controlled import Morphism
+from .order import DirectSum, IntGroup, JoinResult, Presentation, PresentationError
 from .words import (
     EMPTY,
     FWord,
@@ -123,6 +124,32 @@ class SemidirectProduct(Presentation):
 
     def projection(self, x: SdElement) -> int:
         return x[1]
+
+    def exp_sum_pair(self, x: SdElement) -> tuple[int, int]:
+        """(exponent sum of a, level): phi(a) = ab fixes the a-count."""
+        return sum(s for g, s in x[0] if g == A), x[1]
+
+    def morphism(self) -> Morphism:
+        if self.join_rule == self.JOIN_PHI_AB:
+            return Morphism("exp-sum-pair", self, DirectSum((IntGroup(), IntGroup())), self.exp_sum_pair)
+        return Morphism("projection", self, IntGroup(), self.projection)
+
+    def sigma_witness(self, q, ball) -> list:
+        """``s^q`` alone under the projection; for phi-ab, the fiber stripped of trailing b.
+
+        Stripping the trailing b-letters of a fiber member gives the minimal
+        element below it, which need not lie in the ball.
+        """
+        if self.join_rule != self.JOIN_PHI_AB:
+            return [(EMPTY, q)]
+        out = set()
+        for x in ball:
+            if self.exp_sum_pair(x) == q:
+                word = x[0]
+                while word and word[-1] == (B, 1):
+                    word = word[:-1]
+                out.add((word, x[1]))
+        return sorted(out, key=self.canonical_str)
 
     def word_exponents(self, v: FWord) -> list[int]:
         """Exponents [i0..ik] of b around the a-letters in a positive word."""

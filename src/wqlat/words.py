@@ -13,7 +13,8 @@ from __future__ import annotations
 import string
 from typing import Iterable, Sequence
 
-from .order import JoinResult, Presentation, PresentationError
+from .controlled import Morphism
+from .order import IntGroup, JoinResult, Presentation, PresentationError
 
 FWord = tuple  # tuple[tuple[int, int], ...]
 
@@ -54,6 +55,11 @@ def word_pow(x: FWord, n: int) -> FWord:
     for _ in range(n):
         out = word_mul(out, x)
     return out
+
+
+def letter_sum(x: FWord) -> int:
+    """Exponent sum of a word: its length when the word is positive."""
+    return sum(sign for _, sign in x)
 
 
 def is_positive_word(x: FWord) -> bool:
@@ -139,6 +145,10 @@ class FreeGroup(Presentation):
     def positive_witness(self, x: FWord):
         return x if is_positive_word(x) else None
 
+    def morphism(self) -> Morphism:
+        """Length, extended to the group as the letter sum."""
+        return Morphism("length", self, IntGroup(), letter_sum)
+
     def join(self, x: FWord, y: FWord) -> JoinResult:
         self._require_positive(x)
         self._require_positive(y)
@@ -202,6 +212,8 @@ class ScarparoCone(Presentation):
 
     def positive_witness(self, x: FWord):
         return x if self.is_positive(x) else None
+
+    morphism = FreeGroup.morphism
 
     def join(self, x: FWord, y: FWord) -> JoinResult:
         for z in (x, y):

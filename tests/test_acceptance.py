@@ -16,13 +16,9 @@ from wqlat.controlled import (
     check_sigma_axioms,
 )
 from wqlat.order import check_weak_ql, oracle_join
-from wqlat.presets import (
-    ACCEPTANCE_PRESETS,
-    lambda_witness_for,
-    morphism_for,
-    sigma_witness_for,
-)
+from wqlat.presets import ACCEPTANCE_PRESETS
 from wqlat.toeplitz import SafeRegion, check_nica, matrix_units_check
+from wqlat.words import format_word
 
 from conftest import ball_of, pres_of, record_criterion
 
@@ -147,7 +143,7 @@ def test_criterion_5_controlled_map_suites():
     problems = []
     for name in SIGMA_SUITE + LAMBDA_SUITE:
         pres = pres_of(name)
-        mor = morphism_for(pres)
+        mor = pres.morphism()
         radius = 3 if pres.family in ("graphprod", "hnn") else 4
         ball = ball_of(name, radius)
         if check_order_preserving(mor, ball):
@@ -156,22 +152,22 @@ def test_criterion_5_controlled_map_suites():
             problems.append((name, "join"))
     for name in SIGMA_SUITE:
         pres = pres_of(name)
-        mor = morphism_for(pres)
+        mor = pres.morphism()
         radius = 3 if pres.family in ("graphprod", "hnn") else 4
-        if not check_sigma_axioms(mor, sigma_witness_for(pres, mor), ball_of(name, radius))["ok"]:
+        if not check_sigma_axioms(mor, pres.sigma_witness, ball_of(name, radius))["ok"]:
             problems.append((name, "sigma"))
     for name in LAMBDA_SUITE:
         pres = pres_of(name)
-        mor = morphism_for(pres)
+        mor = pres.morphism()
         radius = 3 if pres.family == "hnn" else 4
-        report = check_decreasing_cover(mor, lambda_witness_for(pres, mor), ball_of(name, radius), 6)
+        report = check_decreasing_cover(mor, pres.lambda_witness, ball_of(name, radius), 6)
         if not report["ok"]:
             problems.append((name, "lambda"))
     # Negative control: at c = d = 1 the height-one fiber has no minimal
     # elements, so the minimal-element axioms must fail in coverage only.
     control = pres_of("bs:1,-1")
-    mor = morphism_for(control)
-    report = check_sigma_axioms(mor, sigma_witness_for(control, mor), ball_of("bs:1,-1", 4))
+    mor = control.morphism()
+    report = check_sigma_axioms(mor, control.sigma_witness, ball_of("bs:1,-1", 4))
     if report["ok"] or not report["coverage_failures"] or report["separation_failures"]:
         problems.append(("bs:1,-1", "negative-control"))
     ok = not problems
@@ -183,7 +179,7 @@ def test_criterion_6_morphism_structure():
     problems = []
     for name in ("graph:path3", "graph:noedge2", "graph:complete2"):
         pres = pres_of(name)
-        mor = morphism_for(pres)
+        mor = pres.morphism()
         ball = ball_of(name, 3)
         if check_order_preserving(mor, ball):
             problems.append((name, "order"))
@@ -214,10 +210,9 @@ def test_criterion_6_morphism_structure():
 
 def test_criterion_7_matrix_units():
     pres = pres_of("bs:2,-3")
-    mor = morphism_for(pres)
     ball = ball_of("bs:2,-3", 6)
     safe = SafeRegion.of(ball, 2)
-    chains = lambda_witness_for(pres, mor)(1, ball)[:2]
+    chains = pres.lambda_witness(1, ball)[:2]
     assert len(chains) == 2
     failures = []
     for n in (0, 1, 2):
@@ -263,17 +258,9 @@ def test_criterion_8_canonical_form_fuzz():
             if not pres.is_positive(positive):
                 failures.append((name, "positivity", i))
                 break
-            witness = getattr(pres, "positive_witness", lambda _x: None)(positive)
+            witness = pres.positive_witness(positive)
             if witness is not None:
-                rebuilt = pres.identity()
-                if pres.family in ("free", "scarparo"):
-                    from wqlat.words import reduce_word
-
-                    rebuilt = reduce_word(witness)
-                elif pres.family == "bs":
-                    rebuilt = pres.canon(witness)
-                elif pres.family == "hnn":
-                    rebuilt = pres.normal_form(witness)
+                rebuilt = pres.parse(format_word(witness, pres.gen_names))
                 if rebuilt != positive:
                     failures.append((name, "witness", i))
                     break

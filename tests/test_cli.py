@@ -217,6 +217,8 @@ class TestUsageErrors:
             ("nica-verify", "free:2", "--radius", "3", "--pairs", "sample:-1"),
             ("nica-verify", "free:2", "--radius", "3", "--pairs", "bogus"),
             ("nica-verify", "free:2", "--radius", "3", "--safe-radius", "-1"),
+            ("check-controlled", "bs:2,-3", "--radius", "3", "--chain-depth", "-1"),
+            ("check-controlled", "free:2", "--radius", "3", "--mode", "sigma", "--chain-depth", "-1"),
             ("demo-chain", "free:2"),
             ("nf", "bs:2,0", "a"),
         ],

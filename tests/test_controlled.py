@@ -6,9 +6,8 @@ from wqlat.controlled import (
     check_order_preserving,
     check_sigma_axioms,
     kernel_cone,
-    sigma_to_lambda,
 )
-from wqlat.presets import lambda_witness_for, morphism_for, sigma_witness_for
+from wqlat.order import IntGroup, PresentationError
 
 from conftest import ball_of, pres_of
 
@@ -24,14 +23,14 @@ class TestBasicLaws:
     @pytest.mark.parametrize("name", SIGMA_PRESETS + LAMBDA_PRESETS)
     def test_order_preserving(self, name):
         pres = pres_of(name)
-        mor = morphism_for(pres)
+        mor = pres.morphism()
         r = radius_for(pres)
         assert check_order_preserving(mor, ball_of(name, r)) == []
 
     @pytest.mark.parametrize("name", SIGMA_PRESETS + LAMBDA_PRESETS)
     def test_join_preserving(self, name):
         pres = pres_of(name)
-        mor = morphism_for(pres)
+        mor = pres.morphism()
         assert check_join_preserving(mor, ball_of(name, radius_for(pres)))["ok"]
 
     def test_homomorphism_spot_check(self):
@@ -40,7 +39,7 @@ class TestBasicLaws:
         rng = random.Random(13)
         for name in SIGMA_PRESETS:
             pres = pres_of(name)
-            mor = morphism_for(pres)
+            mor = pres.morphism()
             ball = ball_of(name, 3)
             for _ in range(200):
                 x, y = rng.choice(ball.elements), rng.choice(ball.elements)
@@ -51,16 +50,15 @@ class TestSigmaSuites:
     @pytest.mark.parametrize("name", SIGMA_PRESETS)
     def test_axioms_pass(self, name):
         pres = pres_of(name)
-        mor = morphism_for(pres)
-        report = check_sigma_axioms(mor, sigma_witness_for(pres, mor), ball_of(name, radius_for(pres)))
+        mor = pres.morphism()
+        report = check_sigma_axioms(mor, pres.sigma_witness, ball_of(name, radius_for(pres)))
         assert report["ok"], report
 
     @pytest.mark.parametrize("name", SIGMA_PRESETS)
     def test_constant_chains_also_pass(self, name):
         pres = pres_of(name)
-        mor = morphism_for(pres)
-        wrapped = sigma_to_lambda(sigma_witness_for(pres, mor))
-        report = check_decreasing_cover(mor, wrapped, ball_of(name, radius_for(pres)), 4)
+        mor = pres.morphism()
+        report = check_decreasing_cover(mor, pres.lambda_witness, ball_of(name, radius_for(pres)), 4)
         assert report["ok"], report
 
 
@@ -68,16 +66,16 @@ class TestLambdaSuites:
     @pytest.mark.parametrize("name", LAMBDA_PRESETS)
     def test_axioms_pass(self, name):
         pres = pres_of(name)
-        mor = morphism_for(pres)
+        mor = pres.morphism()
         report = check_decreasing_cover(
-            mor, lambda_witness_for(pres, mor), ball_of(name, radius_for(pres)), 6
+            mor, pres.lambda_witness, ball_of(name, radius_for(pres)), 6
         )
         assert report["ok"], report
 
     def test_shallow_depth_flags_increase(self):
         pres = pres_of("bs:2,-3")
-        mor = morphism_for(pres)
-        report = check_decreasing_cover(mor, lambda_witness_for(pres, mor), ball_of("bs:2,-3", 4), 0)
+        mor = pres.morphism()
+        report = check_decreasing_cover(mor, pres.lambda_witness, ball_of("bs:2,-3", 4), 0)
         assert report["increase_depth"]
         assert report["uncovered"]
 
@@ -85,10 +83,8 @@ class TestLambdaSuites:
 class TestWitnessShapes:
     def test_bs_minimal_slice_enumerates_exponent_tuples(self):
         pres = pres_of("bs:2,3")
-        mor = morphism_for(pres)
-        witness = sigma_witness_for(pres, mor)
         ball = ball_of("bs:2,3", 4)
-        stems = witness(2, ball)
+        stems = pres.sigma_witness(2, ball)
         # d^q stems at height q, every one ending in the a-letter.
         assert len(stems) == 9
         assert all(exps[-1] == 0 and len(eps) == 2 for exps, eps in stems)
@@ -97,9 +93,8 @@ class TestWitnessShapes:
         from wqlat.words import word_pow
 
         pres = pres_of("hnn-:x,y@x,y")
-        mor = morphism_for(pres)
         ball = ball_of("hnn-:x,y@x,y", 3)
-        chains = lambda_witness_for(pres, mor)(1, ball)
+        chains = pres.lambda_witness(1, ball)
         assert chains
         for label, chain in chains:
             s0, s3 = chain(0), chain(3)
@@ -111,8 +106,8 @@ class TestWitnessShapes:
 class TestNegativeControl:
     def test_minimal_element_witness_fails_coverage_only(self):
         pres = pres_of("bs:1,-1")
-        mor = morphism_for(pres)
-        report = check_sigma_axioms(mor, sigma_witness_for(pres, mor), ball_of("bs:1,-1", 4))
+        mor = pres.morphism()
+        report = check_sigma_axioms(mor, pres.sigma_witness, ball_of("bs:1,-1", 4))
         assert not report["ok"]
         assert report["coverage_failures"]
         assert report["separation_failures"] == []
@@ -121,31 +116,40 @@ class TestNegativeControl:
 
     def test_chain_witness_repairs_it(self):
         pres = pres_of("bs:1,-1")
-        mor = morphism_for(pres)
-        report = check_decreasing_cover(mor, lambda_witness_for(pres, mor), ball_of("bs:1,-1", 4), 6)
+        mor = pres.morphism()
+        report = check_decreasing_cover(mor, pres.lambda_witness, ball_of("bs:1,-1", 4), 6)
         assert report["ok"], report
 
 
 class TestKernelCone:
     def test_bs_kernel_is_b_powers(self):
         pres = pres_of("bs:2,3")
-        mor = morphism_for(pres)
+        mor = pres.morphism()
         cone = kernel_cone(mor, ball_of("bs:2,3", 4))
         assert sorted(pres.canonical_str(x) for x in cone) == ["b", "b^2", "b^3", "b^4", "e"]
 
     def test_free_kernel_trivial(self):
         pres = pres_of("free:2")
-        mor = morphism_for(pres)
+        mor = pres.morphism()
         assert kernel_cone(mor, ball_of("free:2", 4)) == [pres.identity()]
 
     def test_graph_kernel_trivial(self):
         pres = pres_of("graph:path3")
-        mor = morphism_for(pres)
+        mor = pres.morphism()
         assert kernel_cone(mor, ball_of("graph:path3", 3)) == [pres.identity()]
 
     def test_hnn_kernel_is_base_monoid(self):
         pres = pres_of("hnn-:x,y@x,y")
-        mor = morphism_for(pres)
+        mor = pres.morphism()
         cone = kernel_cone(mor, ball_of("hnn-:x,y@x,y", 3))
         assert all(pres.height(x) == 0 and len(x[1]) == 0 for x in cone)
         assert len(cone) == 15
+
+
+class TestPresentationHooks:
+    def test_base_defaults(self):
+        pres = IntGroup()
+        with pytest.raises(PresentationError):
+            pres.morphism()
+        assert pres.positive_witness(3) is None
+        assert not pres.has_chain

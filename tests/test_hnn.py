@@ -170,6 +170,13 @@ class TestDoubleCosets:
     def test_inverse_generator_has_none(self):
         assert self.pres.double_coset_positive(self.base.parse("a^-1")) is None
 
+    def test_searches_are_memoised_with_a_bound(self):
+        h = self.base.parse("y^-2 a")
+        for search in (self.pres.double_coset_positive, self.pres.w_power_decomposition):
+            assert search(h) == search(h)
+            info = search.cache_info()
+            assert (info.maxsize, info.hits, info.misses) == (4096, 1, 1)
+
     def test_window_is_wide_enough(self):
         # Doubling the search window never finds witnesses the trimmed
         # window missed.

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from wqlat.order import PresentationError
-from wqlat.presets import lambda_witness_for, morphism_for
 from wqlat.toeplitz import (
     PartialInjection,
     SafeRegion,
@@ -149,7 +148,7 @@ class TestNica:
     def test_fiber_orthogonality(self):
         for name in ("free:2", "bs:2,3", "scarparo"):
             pres = pres_of(name)
-            mor = morphism_for(pres)
+            mor = pres.morphism()
             ball = ball_of(name, 6)
             safe = SafeRegion.of(ball, 2)
             small = ball_of(name, 2)
@@ -163,9 +162,7 @@ class TestNica:
 class TestMatrixUnits:
     def chains(self, count):
         pres = pres_of("bs:2,-3")
-        mor = morphism_for(pres)
-        witness = lambda_witness_for(pres, mor)
-        return pres, witness(1, ball_of("bs:2,-3", 6))[:count]
+        return pres, pres.lambda_witness(1, ball_of("bs:2,-3", 6))[:count]
 
     def test_single_class_is_idempotent(self):
         pres, chains = self.chains(1)
@@ -185,7 +182,7 @@ class TestMatrixUnits:
 class TestSpanningProduct:
     def test_equal_middle(self):
         pres = pres_of("free:2")
-        mor = morphism_for(pres)
+        mor = pres.morphism()
         p = pres.parse("a b")
         q = pres.parse("b a")
         got = spanning_product(pres, mor, p, q, q, p)
@@ -193,25 +190,25 @@ class TestSpanningProduct:
 
     def test_infinite_middle_vanishes(self):
         pres = pres_of("free:2")
-        mor = morphism_for(pres)
+        mor = pres.morphism()
         a, b = pres.parse("a"), pres.parse("b")
         assert spanning_product(pres, mor, a, a, b, b) is None
 
     def test_bs_infinite_middle(self):
         pres = pres_of("bs:2,-3")
-        mor = morphism_for(pres)
+        mor = pres.morphism()
         ba, b2a = pres.parse("b a"), pres.parse("b^2 a")
         assert spanning_product(pres, mor, ba, ba, b2a, b2a) is None
 
     def test_fiber_mismatch(self):
         pres = pres_of("free:2")
-        mor = morphism_for(pres)
+        mor = pres.morphism()
         with pytest.raises(PresentationError):
             spanning_product(pres, mor, pres.parse("a"), pres.parse("a b"), pres.parse("b"), pres.parse("b"))
 
     def test_operator_consistency(self):
         pres = pres_of("bs:1,2")
-        mor = morphism_for(pres)
+        mor = pres.morphism()
         ball = ball_of("bs:1,2", 6)
         safe = SafeRegion.of(ball, 2)
         small = [x for x in ball_of("bs:1,2", 2)]
