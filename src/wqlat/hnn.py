@@ -8,10 +8,15 @@ one for F/<w>; the representative of a coset is the result of stripping
 the maximal trailing power of the subgroup word and, when the remainder
 absorbs a prefix of it, re-anchoring on the complementary suffix.
 
-PLUS is quasi-lattice ordered with joins computed from stems and free
-monoid tails.  MINUS is a weak quasi-lattice in which elements with a
-common upper bound are comparable; its positivity criterion runs through
-double cosets ``<w> h <u>`` having a representative in the free monoid.
+Products and inverses go one syllable at a time: a base part costs one
+free-group product, a t-letter one (memoised) coset step.
+
+PLUS is quasi-lattice ordered with joins in closed form: from stems and
+free monoid tails at equal heights, and from the quotient x^-1 y by
+Britton's lemma at unequal heights.  MINUS is a weak quasi-lattice in
+which elements with a common upper bound are comparable; its positivity
+criterion runs through double cosets ``<w> h <u>`` having a
+representative in the free monoid.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from .words import (
     format_word,
     is_positive_word,
     is_suffix,
-    positive_words,
     word_inv,
     word_mul,
     word_pow,
@@ -62,6 +66,7 @@ def strip_powers(h: FWord, u: FWord) -> tuple[FWord, int]:
     return h, m
 
 
+@lru_cache(maxsize=4096)
 def coset_rep(u: FWord, h: FWord) -> tuple[FWord, int]:
     """Representative of the left coset h<u>: (rep, m) with h = rep u^m.
 
@@ -148,14 +153,14 @@ class HnnExtension(Presentation):
         parts: list[FWord] = [EMPTY]
         eps: list[int] = []
         for letter in letters:
-            self._push(parts, eps, letter)
+            if letter[0] == self.t_index:
+                self._push_t(parts, eps, letter[1])
+            else:
+                parts[-1] = word_mul(parts[-1], (letter,))
         return tuple(parts), tuple(eps)
 
-    def _push(self, parts: list[FWord], eps: list[int], letter) -> None:
-        gen, sign = letter
-        if gen != self.t_index:
-            parts[-1] = word_mul(parts[-1], (letter,))
-            return
+    def _push_t(self, parts: list[FWord], eps: list[int], sign: int) -> None:
+        """Append t^sign to the normal form held in ``parts``/``eps``."""
         sub = self.u if sign == 1 else self.w
         other = self.w if sign == 1 else self.u
         rep, m = coset_rep(sub, parts[-1])
@@ -169,6 +174,13 @@ class HnnExtension(Presentation):
             parts.append(word_pow(other, self.mode * m))
             eps.append(sign)
 
+    def _extend(self, parts: list[FWord], eps: list[int], syllables) -> HnnWord:
+        """Append t^e h for each (e, h): one coset step per t, one word_mul per base part."""
+        for e, h in syllables:
+            self._push_t(parts, eps, e)
+            parts[-1] = word_mul(parts[-1], h)
+        return tuple(parts), tuple(eps)
+
     def _letters(self, x: HnnWord) -> list:
         parts, eps = x
         out = list(parts[0])
@@ -179,14 +191,13 @@ class HnnExtension(Presentation):
 
     def mul(self, x: HnnWord, y: HnnWord) -> HnnWord:
         parts = list(x[0])
-        eps = list(x[1])
-        for letter in self._letters(y):
-            self._push(parts, eps, letter)
-        return tuple(parts), tuple(eps)
+        parts[-1] = word_mul(parts[-1], y[0][0])
+        return self._extend(parts, list(x[1]), zip(y[1], y[0][1:]))
 
     def inv(self, x: HnnWord) -> HnnWord:
-        letters = [(g, -s) for g, s in reversed(self._letters(x))]
-        return self.normal_form(letters)
+        parts, eps = x
+        syllables = zip((-e for e in reversed(eps)), map(word_inv, reversed(parts[:-1])))
+        return self._extend([word_inv(parts[-1])], [], syllables)
 
     # -- positivity --------------------------------------------------------
 
@@ -287,9 +298,6 @@ class HnnExtension(Presentation):
     def tail(self, x: HnnWord) -> FWord:
         return x[0][-1]
 
-    def size(self, x: HnnWord) -> int:
-        return sum(len(p) for p in x[0]) + len(x[1])
-
     # -- controlled map: the height -----------------------------------------
 
     @property
@@ -320,6 +328,45 @@ class HnnExtension(Presentation):
         ]
 
     def join(self, x: HnnWord, y: HnnWord) -> JoinResult:
+        """Least common upper bound of positive x and y, in closed form.
+
+        MINUS: elements with a common upper bound are comparable, so the join
+        is the larger of the two or does not exist.
+
+        PLUS, equal heights: a common upper bound exists only when the stems
+        agree and one tail is a prefix of the other; the longer tail wins.
+
+        PLUS, hx < hy: with z = x^-1 y, the common upper bounds are the y s
+        with s and z s positive.  The join is y n when z has no t^-1, every
+        part of z but the last is a positive word, and the last part L
+        reduces to p n^-1 with p and n positive words; otherwise it is
+        infinite.
+
+        Proof.  A PLUS normal form is positive iff it has no t^-1 and every
+        part is a positive word.  By Britton's lemma the t-exponents of a
+        normal form are those of any word for it with the pinched t^-1 t and
+        t t^-1 pairs cancelled (Lyndon and Schupp, ch. IV.2), so the t^-1
+        of x^-1 come before the t of y in z, and as hz > 0 the last t-letter
+        of z is t.  No positive letter appended to z can pinch, so appending
+        s changes only the last part of z.  Hence z s is positive only if z
+        has no t^-1 and positive parts before L, and then:
+
+        (a) s is a positive base word.  z s is positive iff L s is a
+            positive word.  L s cancels a suffix of L into a prefix of s, so
+            this holds iff L = p n^-1 and s = n s' with s' positive; the
+            least such y s is y n.
+        (b) s = s0 t s1 with s0 a positive base word and s1 positive.  With
+            L s0 = rep u^m (``coset_rep``), z s has the parts of z before L,
+            then rep, then those of w^m s1, so rep is a positive word and
+            w^m s1 is positive.  For k = max(0, -m), s' = s0 u^k is of kind
+            (a): L s' = rep u^(m+k) is a positive word.  And y s' <= y s,
+            since s'^-1 s = u^-k t s1 = t w^-k s1 is positive (k = 0, or
+            -k = m).
+
+        So a common upper bound exists iff one of kind (a) does, which is the
+        rule above, and y n lies below every common upper bound, those with
+        t-letters included.
+        """
         for z in (x, y):
             if not self.is_positive(z):
                 raise PresentationError(f"element {self.canonical_str(z)} is not positive")
@@ -342,18 +389,13 @@ class HnnExtension(Presentation):
             if q[: len(p)] != p:
                 return JoinResult.infinite()
             return JoinResult.finite((x[0][:-1] + (q,), x[1]))
-        # Unequal heights: any join has the shape stem(y) r with r positive,
-        # and the shortest verified candidate is automatically the least.
-        tail_y = self.tail(y)
-        radius = len(tail_y) + self.size(x) + len(self.u) + len(self.w)
-        # cand is y r_extra, so y <= cand; x <= cand is the generic leq, inverting x once.
-        stem_parts, xi = y[0][:-1], self.inv(x)
-        for r_extra in positive_words(self.base.n_gens, radius - len(tail_y)):
-            r = word_mul(tail_y, r_extra)
-            cand = (stem_parts + (r,), y[1])
-            if self.is_positive(self.mul(xi, cand)):
-                return JoinResult.finite(cand)
-        return JoinResult.inconclusive_within(radius)
+        z_parts, z_eps = self.mul(self.inv(x), y)
+        last = z_parts[-1]
+        k = next((i for i, (_, sign) in enumerate(last) if sign == -1), len(last))
+        n = word_inv(last[k:])
+        if -1 in z_eps or not all(map(is_positive_word, z_parts[:-1] + (n,))):
+            return JoinResult.infinite()
+        return JoinResult.finite((y[0][:-1] + (word_mul(self.tail(y), n),), y[1]))
 
     # -- presentation plumbing ----------------------------------------------
 

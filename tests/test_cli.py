@@ -57,6 +57,13 @@ class TestElementVerbs:
         code, out, _ = run(capsys, "join", "bs:2,-3", "b a", "b^2 a")
         assert code == 0 and "infinite" in out
 
+    def test_join_hnn_plus_unequal_heights_is_decided(self, capsys):
+        # The closed form decides what a bounded search left inconclusive.
+        code, out, _ = run(capsys, "join", "hnn+:x,y@x,y", "y", "t", "--json")
+        report = json.loads(out)
+        assert code == 0 and report["verdict"] == "pass"
+        assert report["findings"] == [{"join": "infinite"}]
+
     def test_join_with_oracle_cross_check(self, capsys):
         code, out, _ = run(capsys, "join", "bs:1,2", "a", "b", "--oracle", "--radius", "6")
         assert code == 0

@@ -33,6 +33,10 @@ class TestBasicLaws:
         mor = pres.morphism()
         assert check_join_preserving(mor, ball_of(name, radius_for(pres)))["ok"]
 
+    def test_hnn_plus_join_preservation_is_decided(self):
+        pres = pres_of("hnn+:x,y@x,y")
+        assert check_join_preserving(pres.morphism(), ball_of(pres.name, 3))["inconclusive"] == 0
+
     def test_homomorphism_spot_check(self):
         import random
 

@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from wqlat.hnn import MINUS, HnnExtension, coset_rep, omega, power_exponent
-from wqlat.order import JoinResult, PresentationError, oracle_join
+from wqlat.order import JoinResult, Presentation, PresentationError, oracle_join, verify_join
 from wqlat.presets import get_presentation
 from wqlat.words import EMPTY, FreeGroup, positive_words, reduce_word, word_inv, word_mul, word_pow
 
@@ -12,6 +13,12 @@ from conftest import ball_of, pres_of
 HM = pres_of("hnn-:x,y@x,y")
 HP = pres_of("hnn+:x,y@x,y")
 F = FreeGroup(2, ("x", "y"))
+
+# HNN presets with |u| = 1 and with |u| > 1, in both modes.
+LAW_PRESETS = ("hnn+:x,y@x,y", "hnn-:x,y@x,y", "hnn+:xy,yx@x,y", "hnn-:xy,x@x,y")
+
+# Signed letters over x, y and t (index 2).
+signed_letters = st.lists(st.tuples(st.integers(min_value=0, max_value=2), st.sampled_from((1, -1))), max_size=12)
 
 
 def random_free_word(rng, max_len=8, n_gens=2):
@@ -45,6 +52,14 @@ class TestCosetMachinery:
         u = F.parse("x y")
         rep, m = coset_rep(u, F.parse("x^-1"))
         assert (rep, m) == (F.parse("y"), -1)
+
+    def test_coset_map_is_memoised_with_a_bound(self):
+        u, h = F.parse("x y"), F.parse("y^-1 x^3 y")
+        hits = coset_rep.cache_info().hits
+        assert coset_rep(u, h) == coset_rep(u, h)
+        info = coset_rep.cache_info()
+        assert info.maxsize is not None
+        assert info.hits > hits
 
     @pytest.mark.parametrize("u_text", ["x", "x y", "x x", "x y x"])
     def test_rep_properties(self, u_text):
@@ -100,6 +115,31 @@ class TestNormalForm:
             assert pres.mul(u, pres.inv(u)) == pres.identity()
             assert pres.inv(pres.inv(u)) == u
             assert pres.mul(pres.mul(u, v), pres.inv(v)) == u
+
+
+@pytest.mark.parametrize("name", LAW_PRESETS)
+class TestSyllableArithmetic:
+    """Products and inverses one syllable at a time against the letter sweep."""
+
+    @given(signed_letters, signed_letters)
+    def test_mul_matches_letter_at_a_time(self, name, a, b):
+        pres = pres_of(name)
+        x, y = pres.normal_form(a), pres.normal_form(b)
+        assert pres.mul(x, y) == pres.normal_form(pres._letters(x) + pres._letters(y))
+
+    @given(signed_letters)
+    def test_inv_matches_reversed_letters(self, name, a):
+        pres = pres_of(name)
+        x = pres.normal_form(a)
+        assert pres.inv(x) == pres.normal_form([(g, -s) for g, s in reversed(pres._letters(x))])
+
+    @given(signed_letters, signed_letters, signed_letters)
+    def test_group_laws(self, name, a, b, c):
+        pres = pres_of(name)
+        x, y, z = pres.normal_form(a), pres.normal_form(b), pres.normal_form(c)
+        assert pres.mul(pres.mul(x, y), z) == pres.mul(x, pres.mul(y, z))
+        assert pres.mul(x, pres.inv(x)) == pres.identity()
+        assert pres.mul(pres.inv(x), x) == pres.identity()
 
 
 class TestPositivity:
@@ -261,6 +301,39 @@ class TestJoins:
                     assert not o.is_finite
                 else:
                     assert not o.is_finite
+
+    def test_plus_ball4_has_no_inconclusive_join(self):
+        ball = ball_of(HP.name, 4)
+        assert not [(x, y) for x in ball for y in ball if HP.join(x, y).is_inconclusive]
+
+    def test_plus_unequal_height_join_is_an_upper_bound(self):
+        # Against the generic leq, not the family's row hook.
+        ball = ball_of(HP.name, 4)
+        finite = 0
+        for x in ball:
+            for y in ball:
+                if HP.height(x) == HP.height(y):
+                    continue
+                r = HP.join(x, y)
+                if r.is_finite:
+                    finite += 1
+                    assert Presentation.leq(HP, x, r.value) and Presentation.leq(HP, y, r.value)
+        assert finite
+
+    @pytest.mark.parametrize("name", ["hnn+:xy,x@x,y", "hnn+:x,yx@x,y", "hnn+:xy,yx@x,y"])
+    def test_plus_join_matches_oracle_ball3(self, name):
+        pres = pres_of(name)
+        ball, big = ball_of(name, 3), ball_of(name, 5)
+        for x in ball:
+            for y in ball:
+                r = pres.join(x, y)
+                assert not r.is_inconclusive
+                if r.is_infinite:
+                    assert not (big.leq_row(big.position(x)) & big.leq_row(big.position(y))).any()
+                elif r.value in big:
+                    assert oracle_join(pres, x, y, big) == r
+                else:
+                    assert verify_join(pres, x, y, r.value, big)
 
     def test_minus_comparability(self):
         ball = ball_of(HM.name, 3)
