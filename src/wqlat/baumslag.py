@@ -189,17 +189,10 @@ class BaumslagSolitar(Presentation):
         labels = sorted({x[0][:q] for x in ball if self.height(x) == q})
         return [(str(label), lambda n, label=label: (label + (-n,), (1,) * q)) for label in labels]
 
-    def join(self, x: BsWord, y: BsWord) -> JoinResult:
-        for z in (x, y):
-            if not self.is_positive(z):
-                raise PresentationError(f"element {self.canonical_str(z)} is not positive")
+    def _join(self, x: BsWord, y: BsWord) -> JoinResult:
         if self.params.d_signed < 0:
             # Elements with a common upper bound are comparable.
-            if self.leq(x, y):
-                return JoinResult.finite(y)
-            if self.leq(y, x):
-                return JoinResult.finite(x)
-            return JoinResult.infinite()
+            return self.comparable_join(x, y)
         if self.height(x) > self.height(y):
             x, y = y, x
         v_exps, v_eps = self.mul(self.inv(x), y)

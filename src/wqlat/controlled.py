@@ -15,6 +15,7 @@ witnesses these checks take.  Verification never synthesises it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -64,15 +65,16 @@ def check_join_preserving(mor: Morphism, ball: Ball) -> dict:
     failures = []
     inconclusive = 0
     els = ball.elements
+    images = [mor(x) for x in els]
     for i, x in enumerate(els):
-        for y in els[i:]:
+        for j, y in enumerate(els[i:], i):
             r = mor.source.join(x, y)
             if r.is_inconclusive:
                 inconclusive += 1
                 continue
             if not r.is_finite:
                 continue
-            tgt = mor.target.join(mor(x), mor(y))
+            tgt = mor.target.join(images[i], images[j])
             if not (tgt.is_finite and tgt.value == mor(r.value)):
                 failures.append((x, y))
     return {"failures": failures, "inconclusive": inconclusive, "ok": not failures}
@@ -85,9 +87,10 @@ def check_sigma_axioms(mor: Morphism, witness: SigmaWitness, ball: Ball) -> dict
     src = mor.source
     for q, members in sorted(fibers(mor, ball).items(), key=lambda kv: str(kv[0])):
         sigma = list(witness(q, ball))
-        for x in members:
-            if not any(src.leq(s, x) for s in sigma):
-                coverage_failures.append((q, x))
+        covered = np.zeros(len(members), dtype=bool)
+        for s in sigma:
+            covered |= src.leq_row(s, members)
+        coverage_failures.extend((q, x) for x, hit in zip(members, covered) if not hit)
         for a_pos, s in enumerate(sigma):
             for t in sigma[a_pos + 1:]:
                 if s != t and not src.join(s, t).is_infinite:
@@ -118,25 +121,23 @@ def check_decreasing_cover(mor: Morphism, witness: LambdaWitness, ball: Ball, de
             for n in range(depth):
                 if not src.leq(chain(n + 1), chain(n)):
                     chain_failures.append((q, label, n))
+        # above[c, k]: members[k] lies above some chain entry of class c.
+        above = np.zeros((len(classes), len(members)), dtype=bool)
+        for c, (_, chain) in enumerate(classes):
+            for n in range(depth + 1):
+                above[c] |= src.leq_row(chain(n), members)
         assignment = {}
-        for x in members:
-            matched = [
-                label
-                for label, chain in classes
-                if any(src.leq(chain(n), x) for n in range(depth + 1))
-            ]
-            if not matched:
+        for k, x in enumerate(members):
+            matched = np.flatnonzero(above[:, k])
+            if not matched.size:
                 uncovered.append((q, x))
             elif len(matched) > 1:
-                disjointness_failures.append((q, x, matched))
+                disjointness_failures.append((q, x, [classes[c][0] for c in matched]))
             else:
-                assignment[x] = matched[0]
-        for i, x in enumerate(members):
-            for y in members[i + 1:]:
-                lx, ly = assignment.get(x), assignment.get(y)
-                if lx is not None and ly is not None and lx != ly:
-                    if not src.join(x, y).is_infinite:
-                        separation_failures.append((q, x, y))
+                assignment[k] = matched[0]
+        for i, j in combinations(sorted(assignment), 2):
+            if assignment[i] != assignment[j] and not src.join(members[i], members[j]).is_infinite:
+                separation_failures.append((q, members[i], members[j]))
     return {
         "chain_failures": chain_failures,
         "disjointness_failures": disjointness_failures,

@@ -149,13 +149,8 @@ class GraphProduct(Presentation):
         r_i = vp.mul(vp.inv(x_i), y_i)
         return self.leq_recursive(x_rest, self.canon(((vertex, r_i),) + y_rest))
 
-    def join(self, x: GpElement, y: GpElement) -> JoinResult:
-        for z in (x, y):
-            if not self.is_positive(z):
-                raise PresentationError("join needs positive elements")
-        return self._join_rec(x, y, None)
-
-    def _join_rec(self, x: GpElement, y: GpElement, trace: list | None) -> JoinResult:
+    def _join(self, x: GpElement, y: GpElement, trace: list | None = None) -> JoinResult:
+        """Initial-vertex recursion; ``trace`` collects (x', y', x' v y') per layer."""
         if not x:
             return JoinResult.finite(y)
         if not y:
@@ -166,7 +161,7 @@ class GraphProduct(Presentation):
         j_i = self.vertices[vertex].join(x_i, y_i)
         if not j_i.is_finite:
             return j_i
-        j_rest = self._join_rec(x_rest, y_rest, trace)
+        j_rest = self._join(x_rest, y_rest, trace)
         if not j_rest.is_finite:
             return j_rest
         candidate = self.mul(((vertex, j_i.value),), j_rest.value)
@@ -175,10 +170,6 @@ class GraphProduct(Presentation):
                 trace.append((x_rest, y_rest, j_rest.value))
             return JoinResult.finite(candidate)
         return JoinResult.infinite()
-
-    def join_with_trace(self, x: GpElement, y: GpElement):
-        trace: list = []
-        return self._join_rec(x, y, trace), trace
 
     def phi(self, x: GpElement) -> tuple:
         """Componentwise image in the direct sum of the vertex groups."""

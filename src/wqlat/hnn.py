@@ -271,12 +271,7 @@ class HnnExtension(Presentation):
         prefix = self.normal_form(prefix_letters)
         head = self.positive_witness(prefix)
         # u^{-n*} t w^{m_k} collapses to one positive block either way.
-        s = n_star + m_k
-        if s >= 0:
-            block = ((self.t_index, 1),) + tuple(word_pow(self.w, s))
-        else:
-            block = tuple(word_pow(self.u, -s)) + ((self.t_index, 1),)
-        return tuple(head) + block + tuple(q_k)
+        return tuple(head) + self._t_w_block(n_star + m_k) + tuple(q_k)
 
     def _t_w_block(self, m: int) -> tuple:
         """t w^m rewritten as a positive word (t w^m = u^-m t when m < 0)."""
@@ -327,7 +322,7 @@ class HnnExtension(Presentation):
             for stem in self._stems(q, ball)
         ]
 
-    def join(self, x: HnnWord, y: HnnWord) -> JoinResult:
+    def _join(self, x: HnnWord, y: HnnWord) -> JoinResult:
         """Least common upper bound of positive x and y, in closed form.
 
         MINUS: elements with a common upper bound are comparable, so the join
@@ -367,15 +362,8 @@ class HnnExtension(Presentation):
         rule above, and y n lies below every common upper bound, those with
         t-letters included.
         """
-        for z in (x, y):
-            if not self.is_positive(z):
-                raise PresentationError(f"element {self.canonical_str(z)} is not positive")
         if self.mode == MINUS:
-            if self.leq(x, y):
-                return JoinResult.finite(y)
-            if self.leq(y, x):
-                return JoinResult.finite(x)
-            return JoinResult.infinite()
+            return self.comparable_join(x, y)
         hx, hy = self.height(x), self.height(y)
         if hx > hy:
             x, y = y, x

@@ -4,6 +4,8 @@ A :class:`Presentation` packages one positive cone P inside a group G with
 the capability set used everywhere else: identity, multiplication, inverse,
 positivity, the induced left-invariant order ``x <= y iff x^-1 y in P``,
 a structural join where the family has one, and canonical strings.
+``join`` checks once that both operands are positive and then calls the
+family rule ``_join``.
 It also carries the family's controlled-map data: the canonical morphism
 into an amenable ordered group, minimal-element and decreasing-chain
 witnesses, and positive-letter witnesses of positivity.
@@ -149,7 +151,22 @@ class Presentation:
         raise NotImplementedError
 
     def join(self, x: Element, y: Element) -> JoinResult:
+        """Least upper bound of positive x and y, by the family rule ``_join``."""
+        for z in (x, y):
+            if not self.is_positive(z):
+                raise PresentationError(f"element {self.canonical_str(z)} is not positive")
+        return self._join(x, y)
+
+    def _join(self, x: Element, y: Element) -> JoinResult:
         raise NotImplementedError
+
+    def comparable_join(self, x: Element, y: Element) -> JoinResult:
+        """Join where a common upper bound forces comparability: the larger one, or none."""
+        if self.leq(x, y):
+            return JoinResult.finite(y)
+        if self.leq(y, x):
+            return JoinResult.finite(x)
+        return JoinResult.infinite()
 
     def canonical_str(self, x: Element) -> str:
         raise NotImplementedError

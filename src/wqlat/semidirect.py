@@ -2,8 +2,9 @@
 
 Elements are pairs (n, k) multiplying by (n, k)(n', k') = (n phi^k(n'), k+k').
 The cone is F+ x N.  Joins are computed levelwise when the automorphism
-permutes the positive monoid, by the tail-exponent formula for the
-phi(a) = ab, phi(b) = b action, and are left to the ball oracle otherwise.
+permutes the positive monoid (``LevelwiseProduct``), by the tail-exponent
+formula for the phi(a) = ab, phi(b) = b action (``PhiAbProduct``), and are
+left to the ball oracle otherwise (the base ``SemidirectProduct``).
 
 Automorphisms are supplied as generator images together with explicit
 inverse images; the inverse is validated on construction, not derived.
@@ -17,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .controlled import Morphism
-from .order import DirectSum, IntGroup, JoinResult, Presentation, PresentationError
+from .order import DirectSum, IntGroup, JoinResult, Presentation
 from .words import (
     EMPTY,
     FWord,
@@ -71,22 +72,19 @@ class FreeAutomorphism:
 
 
 class SemidirectProduct(Presentation):
-    family = "semidirect"
+    """Base product: the projection map, ``s^q`` witnesses and no structural join."""
 
-    JOIN_LEVELWISE = "levelwise"
-    JOIN_PHI_AB = "phi-ab"
+    family = "semidirect"
 
     def __init__(
         self,
         base: FreeGroup,
         aut: FreeAutomorphism,
-        join_rule: str | None = None,
         name: str | None = None,
         metadata: dict | None = None,
     ):
         self.base = base
         self.aut = aut
-        self.join_rule = join_rule
         self.name = name or "sd:custom"
         self.metadata = metadata or {}
         # phi^k images of words, shared by every order test of this product.
@@ -125,82 +123,16 @@ class SemidirectProduct(Presentation):
     def projection(self, x: SdElement) -> int:
         return x[1]
 
-    def exp_sum_pair(self, x: SdElement) -> tuple[int, int]:
-        """(exponent sum of a, level): phi(a) = ab fixes the a-count."""
-        return sum(s for g, s in x[0] if g == A), x[1]
-
     def morphism(self) -> Morphism:
-        if self.join_rule == self.JOIN_PHI_AB:
-            return Morphism("exp-sum-pair", self, DirectSum((IntGroup(), IntGroup())), self.exp_sum_pair)
         return Morphism("projection", self, IntGroup(), self.projection)
 
     def sigma_witness(self, q, ball) -> list:
-        """``s^q`` alone under the projection; for phi-ab, the fiber stripped of trailing b.
+        """``s^q`` alone: the minimal element over q under the projection."""
+        return [(EMPTY, q)]
 
-        Stripping the trailing b-letters of a fiber member gives the minimal
-        element below it, which need not lie in the ball.
-        """
-        if self.join_rule != self.JOIN_PHI_AB:
-            return [(EMPTY, q)]
-        out = set()
-        for x in ball:
-            if self.exp_sum_pair(x) == q:
-                word = x[0]
-                while word and word[-1] == (B, 1):
-                    word = word[:-1]
-                out.add((word, x[1]))
-        return sorted(out, key=self.canonical_str)
-
-    def word_exponents(self, v: FWord) -> list[int]:
-        """Exponents [i0..ik] of b around the a-letters in a positive word."""
-        exps = [0]
-        for gen, _ in v:
-            if gen == B:
-                exps[-1] += 1
-            else:
-                exps.append(0)
-        return exps
-
-    def join(self, x: SdElement, y: SdElement) -> JoinResult:
-        for z in (x, y):
-            if not self.is_positive(z):
-                raise PresentationError(f"element {self.canonical_str(z)} is not positive")
-        if self.join_rule == self.JOIN_LEVELWISE:
-            return self.join_levelwise(x, y)
-        if self.join_rule == self.JOIN_PHI_AB:
-            return self.join_phi_ab(x, y)
+    def _join(self, x: SdElement, y: SdElement) -> JoinResult:
         # No structural rule: the ball oracle is the only recourse.
         return JoinResult.inconclusive_within(0)
-
-    def join_levelwise(self, x: SdElement, y: SdElement) -> JoinResult:
-        """Componentwise join, valid when the action permutes the base cone."""
-        if self.join_rule != self.JOIN_LEVELWISE:
-            raise PresentationError(f"{self.name} does not declare a cone-permuting action")
-        word_join = self.base.join(x[0], y[0])
-        if not word_join.is_finite:
-            return word_join
-        return JoinResult.finite((word_join.value, max(x[1], y[1])))
-
-    def join_phi_ab(self, x: SdElement, y: SdElement) -> JoinResult:
-        if self.join_rule != self.JOIN_PHI_AB:
-            raise PresentationError(f"{self.name} does not carry the ab-action join formula")
-        return self._join_phi_ab(x, y)
-
-    def _join_phi_ab(self, x: SdElement, y: SdElement) -> JoinResult:
-        (p, m), (q, n) = x, y
-        if not is_prefix(p, q):
-            if is_prefix(q, p):
-                (p, m), (q, n) = (q, n), (p, m)
-            else:
-                return JoinResult.infinite()
-        exps = self.word_exponents(word_mul(word_inv(p), q))
-        k = len(exps) - 1
-        if any(exps[j] < m for j in range(1, k)):
-            return JoinResult.infinite()
-        level = max(m, n)
-        if k == 0 or exps[k] >= m:
-            return JoinResult.finite((q, level))
-        return JoinResult.finite((word_mul(q, ((B, 1),) * (m - exps[k])), level))
 
     def positive_generators(self) -> list[SdElement]:
         gens = [(((g, 1),), 0) for g in range(self.base.n_gens)]
@@ -229,18 +161,81 @@ class SemidirectProduct(Presentation):
         return out
 
 
+class LevelwiseProduct(SemidirectProduct):
+    """Product whose action permutes the base cone: joins are componentwise."""
+
+    def _join(self, x: SdElement, y: SdElement) -> JoinResult:
+        # The words of positive elements are positive: no second guard.
+        word_join = self.base._join(x[0], y[0])
+        if not word_join.is_finite:
+            return word_join
+        return JoinResult.finite((word_join.value, max(x[1], y[1])))
+
+
+class PhiAbProduct(SemidirectProduct):
+    """The action phi(a) = ab, phi(b) = b: the tail-exponent join and the exponent-sum pair."""
+
+    def exp_sum_pair(self, x: SdElement) -> tuple[int, int]:
+        """(exponent sum of a, level): phi(a) = ab fixes the a-count."""
+        return sum(s for g, s in x[0] if g == A), x[1]
+
+    def morphism(self) -> Morphism:
+        return Morphism("exp-sum-pair", self, DirectSum((IntGroup(), IntGroup())), self.exp_sum_pair)
+
+    def sigma_witness(self, q, ball) -> list:
+        """The fiber over q stripped of trailing b.
+
+        Stripping the trailing b-letters of a fiber member gives the minimal
+        element below it, which need not lie in the ball.
+        """
+        out = set()
+        for x in ball:
+            if self.exp_sum_pair(x) == q:
+                word = x[0]
+                while word and word[-1] == (B, 1):
+                    word = word[:-1]
+                out.add((word, x[1]))
+        return sorted(out, key=self.canonical_str)
+
+    def word_exponents(self, v: FWord) -> list[int]:
+        """Exponents [i0..ik] of b around the a-letters in a positive word."""
+        exps = [0]
+        for gen, _ in v:
+            if gen == B:
+                exps[-1] += 1
+            else:
+                exps.append(0)
+        return exps
+
+    def _join(self, x: SdElement, y: SdElement) -> JoinResult:
+        (p, m), (q, n) = x, y
+        if not is_prefix(p, q):
+            if is_prefix(q, p):
+                (p, m), (q, n) = (q, n), (p, m)
+            else:
+                return JoinResult.infinite()
+        exps = self.word_exponents(word_mul(word_inv(p), q))
+        k = len(exps) - 1
+        if any(exps[j] < m for j in range(1, k)):
+            return JoinResult.infinite()
+        level = max(m, n)
+        if k == 0 or exps[k] >= m:
+            return JoinResult.finite((q, level))
+        return JoinResult.finite((word_mul(q, ((B, 1),) * (m - exps[k])), level))
+
+
 def swap2() -> SemidirectProduct:
     base = FreeGroup(2, ("a", "b"))
     a, b = ((A, 1),), ((B, 1),)
     aut = FreeAutomorphism(base, (b, a), (b, a))
-    return SemidirectProduct(base, aut, join_rule=SemidirectProduct.JOIN_LEVELWISE, name="sd:swap2")
+    return LevelwiseProduct(base, aut, name="sd:swap2")
 
 
 def perm3() -> SemidirectProduct:
     base = FreeGroup(3, ("a", "b", "c"))
     a, b, c = ((0, 1),), ((1, 1),), ((2, 1),)
     aut = FreeAutomorphism(base, (b, c, a), (c, a, b))
-    return SemidirectProduct(base, aut, join_rule=SemidirectProduct.JOIN_LEVELWISE, name="sd:perm3")
+    return LevelwiseProduct(base, aut, name="sd:perm3")
 
 
 def phi_ab() -> SemidirectProduct:
@@ -249,7 +244,7 @@ def phi_ab() -> SemidirectProduct:
     ab = word_mul(a, b)
     ab_inv = word_mul(a, word_inv(b))
     aut = FreeAutomorphism(base, (ab, b), (ab_inv, b))
-    return SemidirectProduct(base, aut, join_rule=SemidirectProduct.JOIN_PHI_AB, name="sd:phi-ab")
+    return PhiAbProduct(base, aut, name="sd:phi-ab")
 
 
 def nonexample() -> SemidirectProduct:
@@ -261,7 +256,7 @@ def nonexample() -> SemidirectProduct:
         (parse("b a"), parse("b^2 a")),
         (parse("a b^-1 a"), parse("b a^-1")),
     )
-    pres = SemidirectProduct(base, aut, join_rule=None, name="sd:nonexample")
+    pres = SemidirectProduct(base, aut, name="sd:nonexample")
     pres.metadata = {
         "witness_pair": ((parse("a"), 2), (parse("a b"), 1)),
         "witness_bounds": ((parse("a b^2 a b a"), 2), (parse("a b^2 a b^2 a b a"), 2)),

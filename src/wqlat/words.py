@@ -149,9 +149,8 @@ class FreeGroup(Presentation):
         """Length, extended to the group as the letter sum."""
         return Morphism("length", self, IntGroup(), letter_sum)
 
-    def join(self, x: FWord, y: FWord) -> JoinResult:
-        self._require_positive(x)
-        self._require_positive(y)
+    def _join(self, x: FWord, y: FWord) -> JoinResult:
+        # The prefix order is the cone order, so no product is needed.
         if is_prefix(x, y):
             return JoinResult.finite(y)
         if is_prefix(y, x):
@@ -171,10 +170,6 @@ class FreeGroup(Presentation):
         for gen, _ in x:
             if not 0 <= gen < self.n_gens:
                 raise PresentationError(f"letter {gen} outside alphabet of size {self.n_gens}")
-
-    def _require_positive(self, x: FWord) -> None:
-        if not is_positive_word(x):
-            raise PresentationError(f"element {self.canonical_str(x)} is not positive")
 
 
 class ScarparoCone(Presentation):
@@ -215,16 +210,8 @@ class ScarparoCone(Presentation):
 
     morphism = FreeGroup.morphism
 
-    def join(self, x: FWord, y: FWord) -> JoinResult:
-        for z in (x, y):
-            if not self.is_positive(z):
-                raise PresentationError(f"element {self.canonical_str(z)} is not in the cone")
-        # Cone order, not raw prefix order: x <= y needs x^-1 y in the cone.
-        if self.leq(x, y):
-            return JoinResult.finite(y)
-        if self.leq(y, x):
-            return JoinResult.finite(x)
-        return JoinResult.infinite()
+    # Cone order, not raw prefix order: x <= y needs x^-1 y in the cone.
+    _join = Presentation.comparable_join
 
     def positive_generators(self) -> list[FWord]:
         # The cone is not finitely generated; balls are enumerated directly.

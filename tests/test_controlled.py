@@ -83,6 +83,26 @@ class TestLambdaSuites:
         assert report["increase_depth"]
         assert report["uncovered"]
 
+    @pytest.mark.parametrize("name", LAMBDA_PRESETS)
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_uncovered_matches_pairwise_leq(self, name, depth):
+        # An element is covered when it lies above chain(n) of some class for
+        # some n <= depth, the last entry included.
+        pres = pres_of(name)
+        mor = pres.morphism()
+        ball = ball_of(name, radius_for(pres))
+        report = check_decreasing_cover(mor, pres.lambda_witness, ball, depth)
+        expected = [
+            x
+            for x in ball
+            if not any(
+                pres.leq(chain(n), x)
+                for _, chain in pres.lambda_witness(mor(x), ball)
+                for n in range(depth + 1)
+            )
+        ]
+        assert sorted(x for _, x in report["uncovered"]) == sorted(expected)
+
 
 class TestWitnessShapes:
     def test_bs_minimal_slice_enumerates_exponent_tuples(self):

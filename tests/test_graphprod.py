@@ -147,7 +147,8 @@ class TestJoin:
         ball = ball_of(PATH3.name, 3)
         for x in ball:
             for y in ball:
-                result, trace = PATH3.join_with_trace(x, y)
+                trace = []
+                result = PATH3._join(x, y, trace)
                 if not result.is_finite:
                     continue
                 for x_rest, y_rest, j_rest in trace:

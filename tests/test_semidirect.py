@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wqlat.order import JoinResult, PresentationError, oracle_join
+from wqlat.order import JoinResult, oracle_join
 from wqlat.semidirect import FreeAutomorphism
 from wqlat.words import EMPTY, FreeGroup
 
@@ -78,10 +78,6 @@ class TestJoins:
         x = SWAP.parse("a b s")
         assert SWAP.join(x, x) == JoinResult.finite(x)
 
-    def test_levelwise_requires_declaration(self):
-        with pytest.raises(PresentationError):
-            PHIAB.join_levelwise(PHIAB.identity(), PHIAB.identity())
-
     def test_phiab_formula_examples(self):
         assert PHIAB.join(PHIAB.parse("a s"), PHIAB.parse("a a")) == JoinResult.finite(
             PHIAB.parse("a a b s")
@@ -97,10 +93,6 @@ class TestJoins:
         x = PHIAB.parse("a s^2")
         y = PHIAB.parse("a a b a")
         assert PHIAB.join(x, y).is_infinite
-
-    def test_phiab_guard(self):
-        with pytest.raises(PresentationError):
-            SWAP.join_phi_ab(SWAP.identity(), SWAP.identity())
 
     def test_generic_preset_is_inconclusive(self):
         r = NONEX.join(NONEX.parse("a"), NONEX.parse("b"))
