@@ -1,23 +1,32 @@
 """Graph products of weakly quasi-lattice ordered groups.
 
-An element is a sequence of syllables (vertex, vertex-group element).  Two
-syllables commute when their vertices are adjacent in the graph; same-vertex
-syllables amalgamate whenever everything between them commutes with that
-vertex.  Canonical form: amalgamate until no pair merges, then take the
-lexicographically least shuffle (greedy smallest available vertex), which
-fixes one representative per commutation class.
+An element is a sequence of syllables (vertex, vertex-group element).
+Syllables at adjacent vertices commute, and same-vertex syllables with only
+commuting ones between them amalgamate.  Reduced words of one element differ
+only by shuffles (Green's normal form theorem: E. R. Green, thesis, Leeds
+1990; Hermiller and Meier, J. Algebra 171, 1995), so the canonical form is
+the least shuffle of any reduced word in the vertex order, as for traces.
 
-Joins follow the initial-vertex recursion
-``x v y = (x_I v y_I)(x' v y')`` with a final verification step that turns
-the formula into a total decision procedure: a verified candidate is a
-common upper bound, and when any common upper bound exists the formula
-value is the least one.
+Reduction is one pass: each new syllable scans back over the trailing
+syllables adjacent to its vertex and amalgamates with the first same-vertex
+one, or is appended; all it passed commutes with it, so a cancellation
+unblocks no other pair.  The shuffle takes, one scan each, the smallest
+vertex no earlier syllable blocks (a bitmask per vertex: itself and its
+non-neighbours).  No normal operand is reduced again, and the order never
+shuffles: positivity reads the syllables of any reduced form of x^-1 y.
+
+Joins follow the initial-vertex recursion ``x v y = (x_I v y_I)(x' v y')``.
+Checked at every layer it is a total decision procedure: a verified value is
+a common upper bound, and when any common upper bound exists every layer
+passes and the value is the least one.  Only the final value is checked.
 """
 
 from __future__ import annotations
 
 import re
 from typing import Sequence
+
+import numpy as np
 
 from .controlled import Morphism
 from .order import DirectSum, JoinResult, Presentation, PresentationError
@@ -28,21 +37,21 @@ _SYLLABLE_RE = re.compile(r"\[\s*v(\d+)\s*:\s*([^\]]*)\]")
 
 
 class Graph:
-    """Symmetric irreflexive adjacency on vertices 0..n-1."""
+    """Symmetric irreflexive adjacency on vertices 0..n-1; bit u of ``neighbours[v]`` marks u ~ v."""
 
     def __init__(self, n_vertices: int, edges: Sequence[Sequence[int]]):
         self.n_vertices = n_vertices
-        self.adj = [[False] * n_vertices for _ in range(n_vertices)]
+        self.neighbours = [0] * n_vertices
         for i, j in edges:
             if i == j:
                 raise PresentationError("no self-loops")
             if not (0 <= i < n_vertices and 0 <= j < n_vertices):
                 raise PresentationError(f"edge ({i},{j}) outside vertex range")
-            self.adj[i][j] = self.adj[j][i] = True
-        self.edges = sorted(tuple(sorted((i, j))) for i, j in edges)
+            self.neighbours[i] |= 1 << j
+            self.neighbours[j] |= 1 << i
 
     def adjacent(self, i: int, j: int) -> bool:
-        return self.adj[i][j]
+        return bool(self.neighbours[i] >> j & 1)
 
 
 class GraphProduct(Presentation):
@@ -54,6 +63,9 @@ class GraphProduct(Presentation):
         self.graph = graph
         self.vertices = tuple(vertex_pres)
         self.name = name or f"graph:{graph.n_vertices}v"
+        # Bit u of _block[v]: a v-syllable keeps a later u-syllable from moving past it.
+        self._block = tuple(((1 << graph.n_vertices) - 1) ^ mask for mask in graph.neighbours)
+        self._ids = tuple(p.identity() for p in self.vertices)
 
     def __repr__(self):
         return f"GraphProduct({self.name})"
@@ -65,111 +77,107 @@ class GraphProduct(Presentation):
         if not 0 <= v < self.graph.n_vertices:
             raise PresentationError(f"invalid vertex id {v}")
 
-    def canon(self, syllables) -> GpElement:
-        """Delete identities, amalgamate exhaustively, then sort shuffles."""
-        items = []
+    def _push(self, items: list, syllables) -> list:
+        """Append ``syllables`` to the reduced list ``items``, keeping it reduced."""
+        adj, ids, vertices, check = self.graph.neighbours, self._ids, self.vertices, self._check_vertex
         for v, g in syllables:
-            self._check_vertex(v)
-            if g != self.vertices[v].identity():
+            check(v)
+            if g == ids[v]:
+                continue
+            mask, k = adj[v], len(items) - 1
+            while k >= 0 and items[k][0] != v and mask >> items[k][0] & 1:
+                k -= 1
+            if k < 0 or items[k][0] != v:
                 items.append((v, g))
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(items)):
-                vi, gi = items[i]
-                for j in range(i + 1, len(items)):
-                    vj = items[j][0]
-                    if vj == vi:
-                        prod = self.vertices[vi].mul(gi, items[j][1])
-                        del items[j]
-                        if prod == self.vertices[vi].identity():
-                            del items[i]
-                        else:
-                            items[i] = (vi, prod)
-                        changed = True
-                        break
-                    if not self.graph.adjacent(vj, vi):
-                        break
-                if changed:
-                    break
-        out = []
+            elif (h := vertices[v].mul(items[k][1], g)) == ids[v]:
+                del items[k]
+            else:
+                items[k] = (v, h)
+        return items
+
+    def _shuffle(self, items: list) -> GpElement:
+        """Lexicographically least shuffle of a reduced list (consumed)."""
+        block, full, out = self._block, (1 << self.graph.n_vertices) - 1, []
         while items:
-            best = None
-            for idx in range(len(items)):
-                v = items[idx][0]
-                if all(self.graph.adjacent(items[l][0], v) for l in range(idx)):
-                    if best is None or v < items[best][0]:
-                        best = idx
+            blocked, best = 0, 0
+            for k, (u, _) in enumerate(items):
+                if not blocked >> u & 1 and u < items[best][0]:
+                    best = k
+                blocked |= block[u]
+                if blocked == full:
+                    break
             out.append(items.pop(best))
         return tuple(out)
 
+    def _inverse_syllables(self, x: GpElement) -> list:
+        """x^-1 as a reduced, unshuffled list."""
+        for v, _ in x:
+            self._check_vertex(v)
+        return [(v, self.vertices[v].inv(g)) for v, g in reversed(x)]
+
+    def canon(self, syllables) -> GpElement:
+        """Delete identities, reduce in one pass, then take the least shuffle."""
+        return self._shuffle(self._push([], syllables))
+
     def mul(self, x: GpElement, y: GpElement) -> GpElement:
-        return self.canon(x + y)
+        for v, _ in x:
+            self._check_vertex(v)
+        return self._shuffle(self._push(list(x), y))
 
     def inv(self, x: GpElement) -> GpElement:
-        return self.canon(tuple((v, self.vertices[v].inv(g)) for v, g in reversed(x)))
+        return self._shuffle(self._inverse_syllables(x))
 
     def is_positive(self, x: GpElement) -> bool:
         return all(self.vertices[v].is_positive(g) for v, g in x)
 
-    def length(self, x: GpElement) -> int:
-        return len(x)
+    def _above(self, x: GpElement, ys):
+        # x <= y iff x^-1 y is positive, read off its reduced, unshuffled form.
+        xi, push, positive = self._inverse_syllables(x), self._push, self.is_positive
+        return (positive(push(list(xi), y)) for y in ys)
 
-    def vertex_support(self, x: GpElement) -> set[int]:
-        return {v for v, _ in x}
+    def leq(self, x: GpElement, y: GpElement) -> bool:
+        return next(self._above(x, (y,)))
+
+    def leq_row(self, x: GpElement, ys: Sequence[GpElement]) -> np.ndarray:
+        return np.fromiter(self._above(x, ys), dtype=bool, count=len(ys))
 
     def initial_split(self, x: GpElement, vertex: int):
         """(x_I, x') with x = x_I x'; x_I is the vertex identity when I is not initial."""
         self._check_vertex(vertex)
         for i, (v, g) in enumerate(x):
-            if v == vertex and all(self.graph.adjacent(x[l][0], vertex) for l in range(i)):
-                rest = self.canon(x[:i] + x[i + 1:])
-                return g, rest
-            if v == vertex:
+            if v == vertex:  # initial, and its removal leaves the rest reduced
+                return g, x[1:] if i == 0 else self._shuffle(list(x[:i] + x[i + 1:]))
+            if not self.graph.adjacent(vertex, v):
                 break
-        return self.vertices[vertex].identity(), x
-
-    def leq_recursive(self, x: GpElement, y: GpElement) -> bool:
-        """Initial-vertex recursion for the order on positives."""
-        for z in (x, y):
-            if not self.is_positive(z):
-                raise PresentationError("recursive order comparison needs positive elements")
-        if not x:
-            return True
-        vertex = x[0][0]
-        x_i, x_rest = self.initial_split(x, vertex)
-        y_i, y_rest = self.initial_split(y, vertex)
-        vp = self.vertices[vertex]
-        if not vp.leq(x_i, y_i):
-            return False
-        if x_i == y_i:
-            return self.leq_recursive(x_rest, y_rest)
-        if any(not self.graph.adjacent(v, vertex) for v in self.vertex_support(x_rest)):
-            return False
-        r_i = vp.mul(vp.inv(x_i), y_i)
-        return self.leq_recursive(x_rest, self.canon(((vertex, r_i),) + y_rest))
+        return self._ids[vertex], x
 
     def _join(self, x: GpElement, y: GpElement, trace: list | None = None) -> JoinResult:
-        """Initial-vertex recursion; ``trace`` collects (x', y', x' v y') per layer."""
-        if not x:
-            return JoinResult.finite(y)
-        if not y:
-            return JoinResult.finite(x)
+        """Initial-vertex recursion; ``trace`` collects (x', y', x' v y') per layer.
+
+        By the claim of the module docstring, if x and y have a common upper
+        bound, every inner formula value is finite and passes its own check.
+        So a failed inner check means there is none, and then the check of the
+        final value fails too: checking it alone gives the same results.
+        """
+        result = self._formula(x, y, trace)
+        if x and y and result.is_finite and not (self.leq(x, result.value) and self.leq(y, result.value)):
+            return JoinResult.infinite()
+        return result
+
+    def _formula(self, x: GpElement, y: GpElement, trace: list | None) -> JoinResult:
+        if not (x and y):
+            return JoinResult.finite(x or y)
         vertex = x[0][0]
         x_i, x_rest = self.initial_split(x, vertex)
         y_i, y_rest = self.initial_split(y, vertex)
-        j_i = self.vertices[vertex].join(x_i, y_i)
-        if not j_i.is_finite:
-            return j_i
-        j_rest = self._join(x_rest, y_rest, trace)
+        # Syllables of positive x, y are positive, so the vertex rule needs no guard.
+        j_i = self.vertices[vertex]._join(x_i, y_i)
+        j_rest = self._formula(x_rest, y_rest, trace) if j_i.is_finite else j_i
         if not j_rest.is_finite:
             return j_rest
-        candidate = self.mul(((vertex, j_i.value),), j_rest.value)
-        if self.leq(x, candidate) and self.leq(y, candidate):
-            if trace is not None:
-                trace.append((x_rest, y_rest, j_rest.value))
-            return JoinResult.finite(candidate)
-        return JoinResult.infinite()
+        if trace is not None:
+            trace.append((x_rest, y_rest, j_rest.value))
+        return JoinResult.finite(self.mul(((vertex, j_i.value),), j_rest.value))
 
     def phi(self, x: GpElement) -> tuple:
         """Componentwise image in the direct sum of the vertex groups."""
@@ -185,16 +193,10 @@ class GraphProduct(Presentation):
         return Morphism("vertexwise", self, self.phi_target(), self.phi)
 
     def positive_generators(self) -> list[GpElement]:
-        gens = []
-        for v, p in enumerate(self.vertices):
-            for g in p.positive_generators():
-                gens.append(((v, g),))
-        return gens
+        return [((v, g),) for v, p in enumerate(self.vertices) for g in p.positive_generators()]
 
     def canonical_str(self, x: GpElement) -> str:
-        if not x:
-            return "e"
-        return " ".join(f"[v{v}: {self.vertices[v].canonical_str(g)}]" for v, g in x)
+        return " ".join(f"[v{v}: {self.vertices[v].canonical_str(g)}]" for v, g in x) or "e"
 
     def parse(self, text: str) -> GpElement:
         stripped = text.strip()

@@ -261,14 +261,9 @@ class HnnExtension(Presentation):
         if k == 1:
             return tuple(parts[0]) + self._t_w_block(m_k) + tuple(q_k)
         m_star, n_star = self.double_coset_positive(parts[-2])
-        prefix_letters = []
-        for i in range(k - 2):
-            prefix_letters.extend(parts[i])
-            prefix_letters.append((self.t_index, 1))
-        prefix_letters.extend(parts[k - 2])
-        prefix_letters.append((self.t_index, 1))
-        prefix_letters.extend(word_mul(parts[-2], word_pow(self.u, n_star)))
-        prefix = self.normal_form(prefix_letters)
+        # parts[0] t parts[1] ... t parts[k-2] t (parts[k-1] u^{n*})
+        tail = word_mul(parts[-2], word_pow(self.u, n_star))
+        prefix = self._extend([parts[0]], [], zip([1] * (k - 1), parts[1:-2] + (tail,)))
         head = self.positive_witness(prefix)
         # u^{-n*} t w^{m_k} collapses to one positive block either way.
         return tuple(head) + self._t_w_block(n_star + m_k) + tuple(q_k)

@@ -320,16 +320,15 @@ def _minimal(idx: np.ndarray, rel: np.ndarray) -> np.ndarray:
 def oracle_join(pres: Presentation, x: Element, y: Element, ball: Ball) -> JoinResult:
     """Brute-force join over a ball, independent of any structural algorithm.
 
-    Returns Finite(m) only when the ball contains a unique minimal common
-    upper bound m that is below every other one; otherwise inconclusive.
-    An empty candidate set is still inconclusive, never infinite.  Reads
-    the rows of x, y and their common upper bounds only.
+    Returns Finite(m) for the first common upper bound m in ball order that
+    lies below all of them (unique: the order is antisymmetric), otherwise
+    inconclusive, even for an empty candidate set.  Reads the rows of x, y
+    and the scanned bounds only.
     """
     ubs = np.flatnonzero(ball.leq_row(ball.position(x)) & ball.leq_row(ball.position(y)))
-    if ubs.size:
-        minimal = _minimal(ubs, np.array([ball.leq_row(z)[ubs] for z in ubs]))
-        if len(minimal) == 1 and ball.leq_row(minimal[0])[ubs].all():
-            return JoinResult.finite(ball.elements[minimal[0]])
+    for z in ubs:
+        if ball.leq_row(z)[ubs].all():
+            return JoinResult.finite(ball.elements[z])
     return JoinResult.inconclusive_within(ball.radius)
 
 
@@ -397,6 +396,8 @@ class IntGroup(Presentation):
 
     def join(self, x: int, y: int) -> JoinResult:
         return JoinResult.finite(max(x, y))
+
+    _join = join  # the rule a graph product calls on its vertex groups
 
     def leq(self, x: int, y: int) -> bool:
         return x <= y

@@ -1,9 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
 from wqlat.graphprod import Graph, GraphProduct
-from wqlat.order import JoinResult, PresentationError, oracle_join
+from wqlat.order import IntGroup, JoinResult, PresentationError, oracle_join
 from wqlat.words import FreeGroup
 
 from conftest import ball_of, pres_of
@@ -11,6 +12,10 @@ from conftest import ball_of, pres_of
 PATH3 = pres_of("graph:path3")
 NOEDGE = pres_of("graph:noedge2")
 COMPLETE = pres_of("graph:complete2")
+
+
+def vertex_support(x):
+    return {v for v, _ in x}
 
 
 def zgen(v, k):
@@ -112,7 +117,28 @@ class TestOrder:
         ball = ball_of(pres.name, 4)
         for x in ball:
             for y in ball:
-                assert pres.leq(x, y) == pres.leq_recursive(x, y)
+                assert pres.leq(x, y) == leq_recursive(pres, x, y)
+
+
+def leq_recursive(pres, x, y):
+    """Reference order on positives by the initial-vertex recursion."""
+    for z in (x, y):
+        if not pres.is_positive(z):
+            raise PresentationError("recursive order comparison needs positive elements")
+    if not x:
+        return True
+    vertex = x[0][0]
+    x_i, x_rest = pres.initial_split(x, vertex)
+    y_i, y_rest = pres.initial_split(y, vertex)
+    vp = pres.vertices[vertex]
+    if not vp.leq(x_i, y_i):
+        return False
+    if x_i == y_i:
+        return leq_recursive(pres, x_rest, y_rest)
+    if any(not pres.graph.adjacent(v, vertex) for v in vertex_support(x_rest)):
+        return False
+    r_i = vp.mul(vp.inv(x_i), y_i)
+    return leq_recursive(pres, x_rest, pres.canon(((vertex, r_i),) + y_rest))
 
 
 class TestJoin:
@@ -129,6 +155,13 @@ class TestJoin:
         a2 = COMPLETE.canon([zgen(0, 2)])
         b = COMPLETE.canon([zgen(1, 1)])
         assert COMPLETE.join(a2, b) == JoinResult.finite(COMPLETE.canon([zgen(0, 2), zgen(1, 1)]))
+
+    def test_integer_vertex_groups(self):
+        # IntGroup overrides the public join; its rule is reached as _join.
+        pres = GraphProduct(Graph(2, [(0, 1)]), [IntGroup(), IntGroup()])
+        x, y = pres.canon([(0, 2)]), pres.canon([(1, 3)])
+        assert pres.join(x, y) == JoinResult.finite(((0, 2), (1, 3)))
+        assert pres.join(pres.canon([(0, 1)]), x) == JoinResult.finite(x)
 
     @pytest.mark.parametrize("pres", [PATH3, NOEDGE, COMPLETE], ids=lambda p: p.name)
     def test_join_matches_oracle_ball4(self, pres):
@@ -152,8 +185,7 @@ class TestJoin:
                 if not result.is_finite:
                     continue
                 for x_rest, y_rest, j_rest in trace:
-                    support = PATH3.vertex_support(x_rest) | PATH3.vertex_support(y_rest)
-                    assert PATH3.vertex_support(j_rest) <= support
+                    assert vertex_support(j_rest) <= vertex_support(x_rest) | vertex_support(y_rest)
 
 
 class TestPhi:
@@ -235,3 +267,21 @@ class TestDirectSumTarget:
         assert target.join((a, e1), (e0, b)).is_finite
         two = NOEDGE.vertices[0].parse("a^2")
         assert target.join((a, b), (two, b)).is_finite
+
+
+# sha256 of the stdout of ``wqlat ARGS``, recorded with the greedy
+# normaliser and the per-layer join verification the one-pass reduction
+# replaced.
+REPORT_DIGESTS = {
+    "check-wql graph:path3 --radius 5 --json": "3747fc3fbea7695716f13d68cd50954ed765d1eeb03e67fc7fde472d1eeb6d6b",
+    "check-wql graph:noedge2 --radius 5 --json": "1fff7cb81d148798915181e5eae70d8fb655dabea7c805a8af7c4545179c3178",
+    "ball graph:path3 --radius 6 --json": "b894031dd68a3087d2ce53eed7a2161ed909b0cd8d85e78db6defc52d9e84258",
+}
+
+
+@pytest.mark.parametrize("args", sorted(REPORT_DIGESTS))
+def test_report_digest(args, capsys):
+    from wqlat.cli import main
+
+    assert main(args.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == REPORT_DIGESTS[args]

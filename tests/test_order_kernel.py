@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from wqlat.cli import main
-from wqlat.order import DirectSum, IntGroup, Presentation
+from wqlat.order import DirectSum, IntGroup, JoinResult, Presentation, _minimal, oracle_join
 from wqlat.words import FreeGroup
 
 from conftest import ball_of, pres_of
@@ -124,3 +124,31 @@ def test_check_wql_report_digest(name, capsys, tmp_path):
     out = capsys.readouterr().out
     assert code == (2 if name == "sd:nonexample" else 0)
     assert hashlib.sha256(out.encode()).hexdigest() == WQL_RADIUS4_DIGESTS[name]
+
+
+def oracle_join_minimal_set(ball, x, y):
+    """The oracle as a minimal-set search: a unique minimal common upper bound below all."""
+    ubs = np.flatnonzero(ball.leq_row(ball.position(x)) & ball.leq_row(ball.position(y)))
+    if ubs.size:
+        minimal = _minimal(ubs, np.array([ball.leq_row(z)[ubs] for z in ubs]))
+        if len(minimal) == 1 and ball.leq_row(minimal[0])[ubs].all():
+            return JoinResult.finite(ball.elements[minimal[0]])
+    return JoinResult.inconclusive_within(ball.radius)
+
+
+@pytest.mark.parametrize("name", sorted(WQL_RADIUS4_DIGESTS))
+def test_oracle_least_element_scan_matches_minimal_set(name, tmp_path):
+    if name.endswith(".json"):
+        path = tmp_path / "square4.json"
+        path.write_text(json.dumps(SQUARE4))
+        pres = pres_of(f"graph:{path}")
+        ball = pres.enumerate_ball(3)
+    else:
+        pres, ball = pres_of(name), ball_of(name, 3)
+    finite = 0
+    for x in ball:
+        for y in ball:
+            got = oracle_join(pres, x, y, ball)
+            assert got == oracle_join_minimal_set(ball, x, y) and got.radius == (None if got.is_finite else 3)
+            finite += got.is_finite
+    assert finite >= len(ball)  # x v e = x at least
