@@ -15,9 +15,13 @@ positive generators) with their order relation, a conservative brute-force
 join oracle, and the weak-quasi-lattice violation scan.  The relation is
 read one boolean row at a time: ``Ball.leq_row(i)`` is ``elements[i] <= .``
 over the ball, built by the family hook ``Presentation.leq_row`` at the
-cost of one inverse per row and memoised; ``Ball.order()`` stacks every
-row into the n x n matrix for the scans that read all of it.  The oracle
-reads only the rows it needs, so large balls never pay for the matrix.
+cost of one inverse per row and memoised.  The scans that read all of it
+call ``Ball.order()``, the n x n matrix built by the family hook
+``Presentation.order_matrix``: by default the rows stacked, in the
+semidirect products and free groups one numpy kernel per block.  Once the
+matrix exists, ``Ball.leq_row`` serves its rows, so a ball holds one
+relation.  The oracle reads only the rows it needs, so large balls never
+pay for the matrix.
 The oracle is three-valued on purpose: a finite ball can certify a least
 upper bound but never the absence of one.
 """
@@ -186,6 +190,10 @@ class Presentation:
         xi, mul, positive = self.inv(x), self.mul, self.is_positive
         return np.fromiter((positive(mul(xi, y)) for y in ys), dtype=bool, count=len(ys))
 
+    def order_matrix(self, elements: Sequence[Element]) -> np.ndarray:
+        """Boolean matrix of ``x <= y`` over ``elements`` squared: one ``leq_row`` per x."""
+        return np.vstack([self.leq_row(x, elements) for x in elements])
+
     def equal(self, x: Element, y: Element) -> bool:
         return x == y
 
@@ -231,7 +239,9 @@ class Ball:
     """Finite ordered stand-in for P: all elements of generator length <= radius.
 
     Elements are sorted by (length, canonical string) so reports and indices
-    are reproducible.  The identity sits at index 0.
+    are reproducible.  The identity sits at index 0.  The order relation is
+    read by rows (``leq_row``, memoised) or whole (``order()``, from the
+    family's ``order_matrix``); after ``order()`` the rows are its rows.
     """
 
     def __init__(self, pres: Presentation, radius: int, elements: Sequence[Element], lengths: Sequence[int]):
@@ -292,7 +302,13 @@ class Ball:
         return arr
 
     def leq_row(self, i: int) -> np.ndarray:
-        """Read-only boolean row ``elements[i] <= elements[j]`` over j, memoised."""
+        """Read-only boolean row ``elements[i] <= elements[j]`` over j.
+
+        A row of ``order()`` once the matrix exists, else built alone and
+        memoised.
+        """
+        if self._order is not None:
+            return self._order[i]
         row = self._rows.get(i)
         if row is None:
             row = self.pres.leq_row(self.elements[i], self.elements)
@@ -301,10 +317,11 @@ class Ball:
         return row
 
     def order(self) -> np.ndarray:
-        """Read-only n x n order relation, built from the rows on first use."""
+        """Read-only n x n order relation from ``Presentation.order_matrix``, built on first use."""
         if self._order is None:
-            self._order = np.vstack([self.leq_row(i) for i in range(len(self))])
+            self._order = self.pres.order_matrix(self.elements)
             self._order.flags.writeable = False
+            self._rows.clear()
         return self._order
 
 

@@ -26,6 +26,7 @@ from .words import (
     format_word,
     is_positive_word,
     is_prefix,
+    positive_quotients,
     word_inv,
     word_mul,
 )
@@ -97,10 +98,10 @@ class SemidirectProduct(Presentation):
         return (EMPTY, 0)
 
     def mul(self, x: SdElement, y: SdElement) -> SdElement:
-        return (word_mul(x[0], self.aut.apply(y[0], x[1])), x[1] + y[1])
+        return (word_mul(x[0], self._image(y[0], x[1])), x[1] + y[1])
 
     def inv(self, x: SdElement) -> SdElement:
-        return (self.aut.apply(word_inv(x[0]), -x[1]), -x[1])
+        return (self._image(word_inv(x[0]), -x[1]), -x[1])
 
     def is_positive(self, x: SdElement) -> bool:
         return is_positive_word(x[0]) and x[1] >= 0
@@ -119,6 +120,22 @@ class SemidirectProduct(Presentation):
 
     def leq_row(self, x: SdElement, ys: Sequence[SdElement]) -> np.ndarray:
         return np.fromiter(self._above(x, ys), dtype=bool, count=len(ys))
+
+    def order_matrix(self, elements: Sequence[SdElement]) -> np.ndarray:
+        """The identity of ``_above``, one block per level q.
+
+        The rows at level q against the columns at levels r >= q are
+        ``positive_quotients`` of the phi^-q images; every other entry is False.
+        """
+        levels = np.fromiter((r for _, r in elements), dtype=np.int64, count=len(elements))
+        out = np.zeros((len(elements), len(elements)), dtype=bool)
+        image = self._image
+        for q in sorted({r for _, r in elements}):  # np.unique would import numpy.ma
+            rows, cols = np.flatnonzero(levels == q), np.flatnonzero(levels >= q)
+            us = [image(elements[i][0], -q) for i in rows]
+            vs = [image(elements[j][0], -q) for j in cols]
+            out[np.ix_(rows, cols)] = positive_quotients(us, vs)
+        return out
 
     def projection(self, x: SdElement) -> int:
         return x[1]

@@ -13,12 +13,18 @@ from __future__ import annotations
 import string
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .controlled import Morphism
 from .order import IntGroup, JoinResult, Presentation, PresentationError
 
 FWord = tuple  # tuple[tuple[int, int], ...]
 
 EMPTY: FWord = ()
+
+# Cells of the rows x columns x letters comparison in ``positive_quotients``
+# held at once: bounds its memory whatever the number of words.
+QUOTIENT_CHUNK_CELLS = 1 << 18
 
 
 def reduce_word(raw: Iterable[tuple[int, int]]) -> FWord:
@@ -64,6 +70,55 @@ def letter_sum(x: FWord) -> int:
 
 def is_positive_word(x: FWord) -> bool:
     return all(sign == 1 for _, sign in x)
+
+
+def _letter_codes(words: Sequence[FWord], width: int) -> np.ndarray:
+    """Words as rows of letter codes sign * (gen + 1), zero-padded to ``width``."""
+    flat = [sign * (gen + 1) for word in words for gen, sign in word]
+    dtype = np.int8 if max(map(abs, flat), default=0) <= np.iinfo(np.int8).max else np.int32
+    codes = np.zeros((len(words), width), dtype=dtype)
+    lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
+    codes[np.arange(width) < lengths[:, None]] = flat
+    return codes
+
+
+def _suffix_all(mask: np.ndarray) -> np.ndarray:
+    """``out[i, k]``: ``mask[i, k:]`` is all true."""
+    return np.logical_and.accumulate(mask[:, ::-1], axis=1)[:, ::-1]
+
+
+def positive_quotients(us: Sequence[FWord], vs: Sequence[FWord]) -> np.ndarray:
+    """Boolean ``len(us) x len(vs)`` matrix of "u^-1 v is a positive word".
+
+    Let c be the longest common prefix of the reduced words u and v, so
+    u = c u' and v = c v'.  Then u^-1 v = u'^-1 v', and this word is
+    reduced: u' and v' do not start with the same letter, so the last
+    letter of u'^-1 does not cancel the first letter of v'.  A reduced word
+    is positive exactly when every letter is, so u^-1 v is positive iff u'
+    has no positive letter and v' no negative one.
+
+    Each word is a row of letter codes with at least one trailing 0.  The
+    length k of c is the first column where the rows of u and v differ, or
+    the last column if they never do (then u = v and u', v' are empty).
+    ``negsuf[u, k]`` (no positive code from column k on) and
+    ``possuf[v, k]`` (no negative code from k on) give the entry.  The
+    comparison is made in chunks of rows of at most ``QUOTIENT_CHUNK_CELLS``
+    cells, or of one row (``len(vs) * width`` cells) if that is more, so its
+    memory does not grow with ``len(us)``.
+    """
+    width = max(map(len, (*us, *vs)), default=0) + 1
+    ucodes, vcodes = _letter_codes(us, width), _letter_codes(vs, width)
+    negsuf, possuf = _suffix_all(ucodes <= 0), _suffix_all(vcodes >= 0)
+    out = np.empty((len(us), len(vs)), dtype=bool)
+    cols = np.arange(len(vs))
+    step = max(1, QUOTIENT_CHUNK_CELLS // max(1, len(vs) * width))
+    for start in range(0, len(us), step):
+        stop = min(start + step, len(us))
+        differ = ucodes[start:stop, None, :] != vcodes[None, :, :]
+        differ[:, :, -1] = True
+        k = differ.argmax(axis=2)
+        out[start:stop] = np.take_along_axis(negsuf[start:stop], k, axis=1) & possuf[cols, k]
+    return out
 
 
 def is_prefix(x: FWord, y: FWord) -> bool:
@@ -144,6 +199,10 @@ class FreeGroup(Presentation):
 
     def positive_witness(self, x: FWord):
         return x if is_positive_word(x) else None
+
+    def order_matrix(self, elements: Sequence[FWord]) -> np.ndarray:
+        """x <= y iff x^-1 y is a positive word: the kernel on the elements themselves."""
+        return positive_quotients(elements, elements)
 
     def morphism(self) -> Morphism:
         """Length, extended to the group as the letter sum."""

@@ -1,8 +1,9 @@
 """The ball order relation against the generic order, and pinned scan reports.
 
-``Ball.order()`` is filled by each family's ``leq_row`` hook; these tests
-compare it with the base formula ``is_positive(mul(inv(x), y))`` called
-unbound, so a family override cannot hide behind itself.
+``Ball.order()`` is filled by each family's ``order_matrix`` hook, and
+single rows by its ``leq_row`` hook; these tests compare both with the base
+formula ``is_positive(mul(inv(x), y))`` called unbound, so a family
+override cannot hide behind itself.
 """
 
 import hashlib
@@ -12,9 +13,10 @@ import random
 import numpy as np
 import pytest
 
+from wqlat import words
 from wqlat.cli import main
 from wqlat.order import DirectSum, IntGroup, JoinResult, Presentation, _minimal, oracle_join
-from wqlat.words import FreeGroup
+from wqlat.words import FreeGroup, is_positive_word, positive_quotients, word_inv, word_mul
 
 from conftest import ball_of, pres_of
 
@@ -56,6 +58,11 @@ class TestOrderMatrix:
         rel = ball.order()
         assert ball.order() is rel and not rel.flags.writeable
         assert np.array_equal(rel[1], row)
+        # After order() every row, filled before or not, is a row of it.
+        for i in range(len(ball)):
+            served = ball.leq_row(i)
+            assert not served.flags.writeable and np.shares_memory(served, rel)
+            assert np.array_equal(served, rel[i])
 
 
 SD_LETTERS = {
@@ -68,6 +75,64 @@ SD_LETTERS = {
 def random_element(pres, rng, letters, length, signed=True):
     tokens = [rng.choice(letters) + (rng.choice(("", "^-1")) if signed else "") for _ in range(length)]
     return pres.parse(" ".join(tokens) or "e")
+
+
+@pytest.mark.parametrize(
+    "name,radius",
+    [(n, 4) for n in ("sd:swap2", "sd:perm3", "sd:phi-ab", "sd:nonexample", "free:2")] + [("sd:nonexample", 5)],
+)
+def test_order_matrix_matches_generic_on_balls(name, radius):
+    pres = pres_of(name)
+    els = list(ball_of(name, radius))
+    assert np.array_equal(pres.order_matrix(els), generic_matrix(pres, els))
+
+
+SIGNED_LETTERS = dict(SD_LETTERS, **{"sd:swap2": ("a", "b", "s"), "free:2": ("a", "b")})
+PAIRS = 50
+
+
+def signed_elements(pres, name):
+    """PAIRS signed elements x as in the leq test, each followed by x times a
+    positive element, then e and, for products, two pure levels."""
+    letters = SIGNED_LETTERS[name]
+    rng = random.Random(f"sd-matrix-{name}")
+    els = []
+    for _ in range(PAIRS):
+        x = random_element(pres, rng, letters, rng.randint(0, 6))
+        els += [x, pres.mul(x, random_element(pres, rng, letters, rng.randint(0, 4), signed=False))]
+    els.append(pres.identity())
+    if name != "free:2":
+        els += [pres.parse("s^-2"), pres.parse("s^3")]
+    return els
+
+
+# None keeps the chunk budget; the tiny budgets split every block.
+@pytest.mark.parametrize("cells", [None, 1, 5, 64])
+@pytest.mark.parametrize("name", sorted(SIGNED_LETTERS))
+def test_order_matrix_matches_generic_on_signed_elements(name, cells, monkeypatch):
+    pres = pres_of(name)
+    els = signed_elements(pres, name)
+    if name != "free:2":
+        assert any(x[1] < 0 for x in els)
+    if cells is not None:
+        monkeypatch.setattr(words, "QUOTIENT_CHUNK_CELLS", cells)
+    got = pres.order_matrix(els)
+    assert np.array_equal(got, generic_matrix(pres, els))
+    assert all(got[i, i + 1] for i in range(0, 2 * PAIRS, 2))
+
+
+def test_positive_quotients_against_word_products():
+    rng = random.Random("quotients")
+    free = FreeGroup(3)
+    ws = [random_element(free, rng, ("a", "b", "c"), rng.randint(0, 7), signed=rng.random() < 0.7)
+          for _ in range(120)]
+    ws.append(())
+    expected = np.array([[is_positive_word(word_mul(word_inv(u), v)) for v in ws] for u in ws])
+    assert expected.any() and not expected.all()
+    assert np.array_equal(positive_quotients(ws, ws), expected)
+    assert np.array_equal(positive_quotients(ws[:7], ws[30:]), expected[:7, 30:])
+    assert positive_quotients([], ws).shape == (0, len(ws))
+    assert positive_quotients(ws, []).shape == (len(ws), 0)
 
 
 @pytest.mark.parametrize("name", sorted(SD_LETTERS))

@@ -1,7 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
+from wqlat.cli import main
 from wqlat.order import JoinResult, oracle_join
 from wqlat.semidirect import FreeAutomorphism
 from wqlat.words import EMPTY, FreeGroup
@@ -151,3 +153,22 @@ class TestGrammar:
         for pres in ALL:
             for x in ball_of(pres.name, 3):
                 assert pres.parse(pres.canonical_str(x)) == x
+
+
+# (sha256 of stdout, exit code) of ``wqlat ARGS``, recorded from the CLI of
+# the commit that stacked one ``leq_row`` per element before the level-wise
+# ``order_matrix`` kernel.  The nonexample report holds 170 findings.
+REPORT_DIGESTS = {
+    "check-wql sd:nonexample --radius 5 --json": (
+        "0fc20e7b3830ca0dbd3cbf7668c7f59fb6feb41bf93f43a8857ce2ba59e7c1de", 2),
+    "check-wql sd:phi-ab --radius 5 --json": (
+        "072401d6ddb3f57d5c4f32fc660ee355b3ccf1ab23bc44289db584e047ceeb16", 0),
+    "check-controlled sd:perm3 --radius 4 --mode sigma --chain-depth 6 --json": (
+        "e2cf46af4284827e586d539af04cd3a625ae4809b43a0e97a1e0ad556983b2e5", 0),
+}
+
+
+@pytest.mark.parametrize("args", sorted(REPORT_DIGESTS))
+def test_report_digest(args, capsys):
+    code = main(args.split())
+    assert (hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(), code) == REPORT_DIGESTS[args]
