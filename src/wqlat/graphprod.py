@@ -138,8 +138,11 @@ class GraphProduct(Presentation):
     def leq(self, x: GpElement, y: GpElement) -> bool:
         return next(self._above(x, (y,)))
 
-    def leq_row(self, x: GpElement, ys: Sequence[GpElement]) -> np.ndarray:
-        return np.fromiter(self._above(x, ys), dtype=bool, count=len(ys))
+    def order_matrix(self, xs: Sequence[GpElement], ys: Sequence[GpElement]) -> np.ndarray:
+        out = np.empty((len(xs), len(ys)), dtype=bool)
+        for i, x in enumerate(xs):
+            out[i] = np.fromiter(self._above(x, ys), dtype=bool, count=len(ys))
+        return out
 
     def initial_split(self, x: GpElement, vertex: int):
         """(x_I, x') with x = x_I x'; x_I is the vertex identity when I is not initial."""

@@ -11,15 +11,15 @@ into an amenable ordered group, minimal-element and decreasing-chain
 witnesses, and positive-letter witnesses of positivity.
 
 On top of that sit finite balls (breadth-first closure of {e} under the
-positive generators) with their order relation, a conservative brute-force
-join oracle, and the weak-quasi-lattice violation scan.  The relation is
-read one boolean row at a time: ``Ball.leq_row(i)`` is ``elements[i] <= .``
-over the ball, built by the family hook ``Presentation.leq_row`` at the
-cost of one inverse per row and memoised.  The scans that read all of it
-call ``Ball.order()``, the n x n matrix built by the family hook
-``Presentation.order_matrix``: by default the rows stacked, in the
-semidirect products and free groups one numpy kernel per block.  Once the
-matrix exists, ``Ball.leq_row`` serves its rows, so a ball holds one
+positive generators, at most ``BALL_ELEMENT_CAP`` elements) with their order
+relation, a conservative brute-force join oracle, and the
+weak-quasi-lattice violation scan.  The relation has one family hook,
+``Presentation.order_matrix(xs, ys)``, the boolean matrix of ``x <= y``:
+by default one inverse per x and one product per pair, in the free groups
+and semidirect products numpy kernels, in the integers and direct sums
+array comparisons.  ``Ball.order()`` is the hook over the ball squared;
+``Ball.leq_row(i)`` is its single row ``elements[i] <= .``, memoised until
+the matrix exists and served from it afterwards, so a ball holds one
 relation.  The oracle reads only the rows it needs, so large balls never
 pay for the matrix.
 The oracle is three-valued on purpose: a finite ball can certify a least
@@ -36,6 +36,10 @@ if TYPE_CHECKING:
     from .controlled import Morphism
 
 DEFAULT_RADIUS_CAP = 6
+# Element count past which a ball is refused: the largest ball a check
+# builds today has under 5000 elements, and the n x n relation of 8192
+# elements is 64 MB.
+BALL_ELEMENT_CAP = 8192
 
 Element = Any
 
@@ -45,7 +49,7 @@ class PresentationError(ValueError):
 
 
 class BallCapExceeded(PresentationError):
-    """Requested ball radius exceeds the configured cap."""
+    """Requested ball exceeds the radius cap or ``BALL_ELEMENT_CAP``."""
 
 
 class ElementOutsideBall(PresentationError):
@@ -58,6 +62,11 @@ def check_radius_cap(radius: int, cap: int | None) -> None:
     limit = DEFAULT_RADIUS_CAP if cap is None else cap
     if radius > limit:
         raise BallCapExceeded(f"radius {radius} exceeds cap {limit}")
+
+
+def check_element_cap(count: int, radius: int) -> None:
+    if count > BALL_ELEMENT_CAP:
+        raise BallCapExceeded(f"ball of radius {radius} exceeds {BALL_ELEMENT_CAP} elements")
 
 
 class JoinResult:
@@ -185,17 +194,14 @@ class Presentation:
         """Left-invariant order: x <= y iff x^-1 y is positive."""
         return self.is_positive(self.mul(self.inv(x), y))
 
-    def leq_row(self, x: Element, ys: Sequence[Element]) -> np.ndarray:
-        """Boolean vector of ``x <= y`` over ``ys``, inverting x once."""
-        xi, mul, positive = self.inv(x), self.mul, self.is_positive
-        return np.fromiter((positive(mul(xi, y)) for y in ys), dtype=bool, count=len(ys))
-
-    def order_matrix(self, elements: Sequence[Element]) -> np.ndarray:
-        """Boolean matrix of ``x <= y`` over ``elements`` squared: one ``leq_row`` per x."""
-        return np.vstack([self.leq_row(x, elements) for x in elements])
-
-    def equal(self, x: Element, y: Element) -> bool:
-        return x == y
+    def order_matrix(self, xs: Sequence[Element], ys: Sequence[Element]) -> np.ndarray:
+        """Boolean ``len(xs) x len(ys)`` matrix of ``x <= y``, inverting each x once."""
+        mul, positive = self.mul, self.is_positive
+        out = np.empty((len(xs), len(ys)), dtype=bool)
+        for i, x in enumerate(xs):
+            xi = self.inv(x)
+            out[i] = np.fromiter((positive(mul(xi, y)) for y in ys), dtype=bool, count=len(ys))
+        return out
 
     def chain_demo(self, depth: int, ball=None) -> dict:
         raise PresentationError(f"{self.name} has no descending chain demonstration")
@@ -231,6 +237,7 @@ class Presentation:
                     if y not in lengths:
                         lengths[y] = depth
                         new.append(y)
+                        check_element_cap(len(lengths), radius)
             frontier = new
         return Ball.build(self, radius, lengths)
 
@@ -239,9 +246,10 @@ class Ball:
     """Finite ordered stand-in for P: all elements of generator length <= radius.
 
     Elements are sorted by (length, canonical string) so reports and indices
-    are reproducible.  The identity sits at index 0.  The order relation is
-    read by rows (``leq_row``, memoised) or whole (``order()``, from the
-    family's ``order_matrix``); after ``order()`` the rows are its rows.
+    are reproducible.  The identity sits at index 0.  Besides the elements a
+    ball holds one thing, their order relation from the family's
+    ``order_matrix``: read by rows (``leq_row``, memoised) or whole
+    (``order()``); after ``order()`` the rows are its rows.
     """
 
     def __init__(self, pres: Presentation, radius: int, elements: Sequence[Element], lengths: Sequence[int]):
@@ -250,7 +258,6 @@ class Ball:
         self.elements = tuple(elements)
         self.lengths = tuple(lengths)
         self.index = {el: i for i, el in enumerate(self.elements)}
-        self._shifts: dict[Element, np.ndarray] = {}
         self._rows: dict[int, np.ndarray] = {}
         self._order: np.ndarray | None = None
 
@@ -279,28 +286,6 @@ class Ball:
     def indices_within(self, radius: int) -> list[int]:
         return [i for i, n in enumerate(self.lengths) if n <= radius]
 
-    def shift(self, x: Element) -> np.ndarray:
-        """Read-only int32 array: entry i is the index of x * elements[i], or -1.
-
-        Left multiplication is injective, so the array is a partial
-        injection of indices.  Shifts by ball elements are memoised, which
-        bounds the memo by n^2 int32; other positive x are computed afresh.
-        """
-        cached = self._shifts.get(x)
-        if cached is not None:
-            return cached
-        pres, index = self.pres, self.index
-        member = x in index  # ball elements are positive by construction
-        if not member and not pres.is_positive(x):
-            raise PresentationError(f"element {pres.canonical_str(x)} is not positive")
-        arr = np.fromiter(
-            (index.get(pres.mul(x, p), -1) for p in self.elements), dtype=np.int32, count=len(self.elements)
-        )
-        arr.flags.writeable = False
-        if member:
-            self._shifts[x] = arr
-        return arr
-
     def leq_row(self, i: int) -> np.ndarray:
         """Read-only boolean row ``elements[i] <= elements[j]`` over j.
 
@@ -311,7 +296,7 @@ class Ball:
             return self._order[i]
         row = self._rows.get(i)
         if row is None:
-            row = self.pres.leq_row(self.elements[i], self.elements)
+            row = self.pres.order_matrix((self.elements[i],), self.elements)[0]
             row.flags.writeable = False
             self._rows[i] = row
         return row
@@ -319,7 +304,7 @@ class Ball:
     def order(self) -> np.ndarray:
         """Read-only n x n order relation from ``Presentation.order_matrix``, built on first use."""
         if self._order is None:
-            self._order = self.pres.order_matrix(self.elements)
+            self._order = self.pres.order_matrix(self.elements, self.elements)
             self._order.flags.writeable = False
             self._rows.clear()
         return self._order
@@ -354,11 +339,7 @@ def verify_join(pres: Presentation, x: Element, y: Element, j: Element, ball: Ba
     if not (pres.leq(x, j) and pres.leq(y, j)):
         return False
     ubs = np.flatnonzero(ball.leq_row(ball.position(x)) & ball.leq_row(ball.position(y)))
-    if j in ball:
-        below = ball.leq_row(ball.position(j))[ubs]
-    else:
-        below = pres.leq_row(j, [ball.elements[z] for z in ubs])
-    return bool(below.all())
+    return bool(pres.order_matrix((j,), [ball.elements[z] for z in ubs]).all())
 
 
 def check_weak_ql(pres: Presentation, ball: Ball) -> list[dict]:
@@ -411,16 +392,14 @@ class IntGroup(Presentation):
     def is_positive(self, x: int) -> bool:
         return x >= 0
 
-    def join(self, x: int, y: int) -> JoinResult:
+    def _join(self, x: int, y: int) -> JoinResult:
         return JoinResult.finite(max(x, y))
-
-    _join = join  # the rule a graph product calls on its vertex groups
 
     def leq(self, x: int, y: int) -> bool:
         return x <= y
 
-    def leq_row(self, x: int, ys: Sequence[int]) -> np.ndarray:
-        return np.asarray(ys) >= x
+    def order_matrix(self, xs: Sequence[int], ys: Sequence[int]) -> np.ndarray:
+        return np.less_equal.outer(np.asarray(xs), np.asarray(ys))
 
     def positive_generators(self) -> list[int]:
         return [1]
@@ -458,10 +437,10 @@ class DirectSum(Presentation):
     def is_positive(self, x: tuple) -> bool:
         return all(p.is_positive(a) for p, a in zip(self.parts, x))
 
-    def join(self, x: tuple, y: tuple) -> JoinResult:
+    def _join(self, x: tuple, y: tuple) -> JoinResult:
         comps, undecided = [], None
         for p, a, b in zip(self.parts, x, y):
-            r = p.join(a, b)
+            r = p._join(a, b)
             if r.is_infinite:
                 return JoinResult.infinite()
             if r.is_inconclusive:
@@ -473,11 +452,11 @@ class DirectSum(Presentation):
     def leq(self, x: tuple, y: tuple) -> bool:
         return all(p.leq(a, b) for p, a, b in zip(self.parts, x, y))
 
-    def leq_row(self, x: tuple, ys: Sequence[tuple]) -> np.ndarray:
-        row = np.ones(len(ys), dtype=bool)
-        for k, (p, a) in enumerate(zip(self.parts, x)):
-            row &= p.leq_row(a, [y[k] for y in ys])
-        return row
+    def order_matrix(self, xs: Sequence[tuple], ys: Sequence[tuple]) -> np.ndarray:
+        out = np.ones((len(xs), len(ys)), dtype=bool)
+        for k, p in enumerate(self.parts):
+            out &= p.order_matrix([x[k] for x in xs], [y[k] for y in ys])
+        return out
 
     def positive_generators(self) -> list[tuple]:
         gens = []

@@ -13,7 +13,7 @@ inverse images; the inverse is validated on construction, not derived.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -106,34 +106,28 @@ class SemidirectProduct(Presentation):
     def is_positive(self, x: SdElement) -> bool:
         return is_positive_word(x[0]) and x[1] >= 0
 
-    def _above(self, x: SdElement, ys: Iterable[SdElement]):
+    def leq(self, x: SdElement, y: SdElement) -> bool:
         # (l,q) <= (m,r) iff q <= r and phi^-q(l^-1 m) is positive; this is
         # the generic x^-1 y test unfolded.  phi^-q is a homomorphism and
-        # images are reduced words, so phi^-q(l^-1 m) = phi^-q(l)^-1 phi^-q(m)
-        # and the image of l is computed once per x.
-        (l, q), image = x, self._image
-        li = word_inv(image(l, -q))
-        return (r >= q and is_positive_word(word_mul(li, image(m, -q))) for m, r in ys)
+        # images are reduced words, so phi^-q(l^-1 m) = phi^-q(l)^-1 phi^-q(m).
+        (l, q), (m, r) = x, y
+        image = self._image
+        return r >= q and is_positive_word(word_mul(word_inv(image(l, -q)), image(m, -q)))
 
-    def leq(self, x: SdElement, y: SdElement) -> bool:
-        return next(self._above(x, (y,)))
-
-    def leq_row(self, x: SdElement, ys: Sequence[SdElement]) -> np.ndarray:
-        return np.fromiter(self._above(x, ys), dtype=bool, count=len(ys))
-
-    def order_matrix(self, elements: Sequence[SdElement]) -> np.ndarray:
-        """The identity of ``_above``, one block per level q.
+    def order_matrix(self, xs: Sequence[SdElement], ys: Sequence[SdElement]) -> np.ndarray:
+        """The test of ``leq``, one block per level q of the rows.
 
         The rows at level q against the columns at levels r >= q are
         ``positive_quotients`` of the phi^-q images; every other entry is False.
         """
-        levels = np.fromiter((r for _, r in elements), dtype=np.int64, count=len(elements))
-        out = np.zeros((len(elements), len(elements)), dtype=bool)
+        row_levels = np.fromiter((q for _, q in xs), dtype=np.int64, count=len(xs))
+        col_levels = np.fromiter((r for _, r in ys), dtype=np.int64, count=len(ys))
+        out = np.zeros((len(xs), len(ys)), dtype=bool)
         image = self._image
-        for q in sorted({r for _, r in elements}):  # np.unique would import numpy.ma
-            rows, cols = np.flatnonzero(levels == q), np.flatnonzero(levels >= q)
-            us = [image(elements[i][0], -q) for i in rows]
-            vs = [image(elements[j][0], -q) for j in cols]
+        for q in sorted({q for _, q in xs}):  # np.unique would import numpy.ma
+            rows, cols = np.flatnonzero(row_levels == q), np.flatnonzero(col_levels >= q)
+            us = [image(xs[i][0], -q) for i in rows]
+            vs = [image(ys[j][0], -q) for j in cols]
             out[np.ix_(rows, cols)] = positive_quotients(us, vs)
         return out
 

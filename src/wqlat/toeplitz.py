@@ -1,10 +1,9 @@
 """Finite truncation of the left-regular representation on the cone.
 
 The shift by a positive element acts on a ball as a partial injection of
-indices, held as the ball's memoised index array (:meth:`Ball.shift`);
-compositions are gathers, adjoints scatters, and range projections and
-restrictions masks, so every identity in scope holds exactly with no
-floating point.  Comparisons are restricted to a safe region, a smaller
+indices, one index array built by :func:`toeplitz_op`; compositions are
+gathers, adjoints scatters, and range projections and restrictions masks,
+so every identity in scope holds exactly with no floating point.  Comparisons are restricted to a safe region, a smaller
 concentric ball on which truncation cannot cut off the compositions under
 test.  There the Nica check reads the range of T_z as "z^-1 p in the
 ball", with one inverse per shift and no whole-ball shift.
@@ -95,12 +94,6 @@ class PartialInjection:
         keep[list(indices)] = True
         return PartialInjection.of_array(np.where(keep, self.arr, np.int32(-1)))
 
-    def range_projection(self) -> "PartialInjection":
-        return PartialInjection.partial_identity(self.image_mask())
-
-    def fixed_points(self) -> set[int]:
-        return set(np.flatnonzero(self.arr == np.arange(self.size)).tolist())
-
     def is_zero(self) -> bool:
         return not (self.arr >= 0).any()
 
@@ -142,8 +135,16 @@ class SafeRegion:
 
 
 def toeplitz_op(ball: Ball, x) -> PartialInjection:
-    """Shift p -> x p wherever the product stays inside the ball."""
-    return PartialInjection.of_array(ball.shift(x))
+    """Shift p -> x p wherever the product stays inside the ball.
+
+    Left multiplication is injective, so the index array is a partial
+    injection.
+    """
+    pres, index = ball.pres, ball.index
+    if x not in index and not pres.is_positive(x):  # ball elements are positive by construction
+        raise PresentationError(f"element {pres.canonical_str(x)} is not positive")
+    products = (index.get(pres.mul(x, p), -1) for p in ball.elements)
+    return PartialInjection.of_array(np.fromiter(products, dtype=np.int32, count=len(ball)))
 
 
 def diagonal_expectation(op: PartialInjection) -> PartialInjection:

@@ -200,9 +200,9 @@ class FreeGroup(Presentation):
     def positive_witness(self, x: FWord):
         return x if is_positive_word(x) else None
 
-    def order_matrix(self, elements: Sequence[FWord]) -> np.ndarray:
+    def order_matrix(self, xs: Sequence[FWord], ys: Sequence[FWord]) -> np.ndarray:
         """x <= y iff x^-1 y is a positive word: the kernel on the elements themselves."""
-        return positive_quotients(elements, elements)
+        return positive_quotients(xs, ys)
 
     def morphism(self) -> Morphism:
         """Length, extended to the group as the letter sum."""
@@ -277,9 +277,10 @@ class ScarparoCone(Presentation):
         raise PresentationError("the cone has no finite generating set; use enumerate_ball")
 
     def enumerate_ball(self, radius: int, cap: int | None = None):
-        from .order import Ball, check_radius_cap
+        from .order import Ball, check_element_cap, check_radius_cap
 
         check_radius_cap(radius, cap)
+        check_element_cap(2**radius, radius)  # e, and b w for each positive w shorter than radius
         elements = [EMPTY]
         if radius >= 1:
             b = ((1, 1),)

@@ -217,6 +217,17 @@ class TestUsageErrors:
         code, _, _ = run(capsys, "ball", "free:2", "--radius", "7", "--max-radius", "7")
         assert code == 0
 
+    def test_element_cap(self, capsys):
+        # 88 573 elements uncapped; the enumeration stops at the 8193rd.
+        code, out, err = run(capsys, "ball", "free:3", "--radius", "10", "--max-radius", "10")
+        assert code == 64 and out == ""
+        assert err == "wqlat: error: ball of radius 10 exceeds 8192 elements\n"
+
+    def test_op_non_positive(self, capsys):
+        code, out, err = run(capsys, "op", "free:2", "a^-1")
+        assert code == 64 and out == ""
+        assert err == "wqlat: error: element a^-1 is not positive\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from wqlat.graphprod import Graph, GraphProduct
-from wqlat.order import IntGroup, JoinResult, PresentationError, oracle_join
+from wqlat.order import DirectSum, IntGroup, JoinResult, PresentationError, oracle_join
 from wqlat.words import FreeGroup
 
 from conftest import ball_of, pres_of
@@ -157,11 +157,28 @@ class TestJoin:
         assert COMPLETE.join(a2, b) == JoinResult.finite(COMPLETE.canon([zgen(0, 2), zgen(1, 1)]))
 
     def test_integer_vertex_groups(self):
-        # IntGroup overrides the public join; its rule is reached as _join.
+        # The graph product calls the vertex rule _join, IntGroup's only join.
         pres = GraphProduct(Graph(2, [(0, 1)]), [IntGroup(), IntGroup()])
         x, y = pres.canon([(0, 2)]), pres.canon([(1, 3)])
         assert pres.join(x, y) == JoinResult.finite(((0, 2), (1, 3)))
         assert pres.join(pres.canon([(0, 1)]), x) == JoinResult.finite(x)
+
+    def test_direct_sum_vertex_group(self):
+        pres = GraphProduct(Graph(2, []), [DirectSum((IntGroup(), IntGroup())), IntGroup()])
+        a, b, x = pres.canon([(0, (1, 0))]), pres.canon([(0, (0, 1))]), pres.canon([(0, (1, 0)), (1, 2)])
+        assert pres.join(a, b) == JoinResult.finite(pres.canon([(0, (1, 1))]))
+        assert pres.join(x, b).is_infinite
+        ball, big = pres.enumerate_ball(2), pres.enumerate_ball(4)
+        finite = 0
+        for u in ball:
+            for v in ball:
+                r = pres.join(u, v)
+                finite += r.is_finite
+                if r.is_finite:
+                    assert oracle_join(pres, u, v, big) == r
+                else:
+                    assert not (big.leq_row(big.position(u)) & big.leq_row(big.position(v))).any()
+        assert len(ball) < finite < len(ball) ** 2
 
     @pytest.mark.parametrize("pres", [PATH3, NOEDGE, COMPLETE], ids=lambda p: p.name)
     def test_join_matches_oracle_ball4(self, pres):

@@ -126,7 +126,7 @@ class TestGraphProductLaws:
         expected = [Presentation.leq(pres, x, z) for z in (y, above, x)]
         assert expected[1:] == [True, True]
         assert [pres.leq(x, z) for z in (y, above, x)] == expected
-        assert pres.leq_row(x, [y, above, x]).tolist() == expected
+        assert pres.order_matrix([x], [y, above, x])[0].tolist() == expected
 
 
 @pytest.mark.parametrize("op", ["canon", "parse", "mul_left", "mul_right", "inv", "leq"])

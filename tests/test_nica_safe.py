@@ -2,16 +2,17 @@
 
 ``check_nica`` reads "z <= p" and "p in the range of T_z" from the quotients
 z^-1 p over the safe region; these tests compare both masks with the
-whole-ball shift ``Ball.shift(z)`` and ``pres.leq``, check that the check
-builds no whole-ball shift, and pin the ``nica-verify`` reports by digest.
+whole-ball shift ``toeplitz_op(ball, z)`` and ``pres.leq``, check that the
+check builds no whole-ball shift, and pin the ``nica-verify`` reports by
+digest.
 """
 
 import hashlib
 
 import pytest
 
+from wqlat import toeplitz
 from wqlat.cli import main
-from wqlat.order import Ball
 from wqlat.presets import ACCEPTANCE_PRESETS
 from wqlat.toeplitz import SafeRegion, check_nica, safe_masks, toeplitz_op
 
@@ -41,10 +42,10 @@ def test_safe_masks_match_whole_ball_shifts(name, radius):
 
 
 def test_check_nica_builds_no_whole_ball_shift(monkeypatch):
-    def refuse(self, x):
+    def refuse(ball, x):
         raise AssertionError("check_nica built a whole-ball shift")
 
-    monkeypatch.setattr(Ball, "shift", refuse)
+    monkeypatch.setattr(toeplitz, "toeplitz_op", refuse)
     pres = pres_of("hnn-:x,y@x,y")
     ball = ball_of("hnn-:x,y@x,y", 6)
     safe = SafeRegion.of(ball, 3)

@@ -1,15 +1,20 @@
 import pytest
 
+from wqlat import order
 from wqlat.order import (
     BallCapExceeded,
     DirectSum,
     ElementOutsideBall,
+    IntGroup,
     JoinResult,
+    PresentationError,
     check_weak_ql,
     oracle_join,
     verify_join,
 )
 from wqlat.presets import ACCEPTANCE_PRESETS
+from wqlat.toeplitz import toeplitz_op
+from wqlat.words import FreeGroup
 
 from conftest import ball_of, pres_of
 
@@ -42,6 +47,27 @@ class TestBallEnumeration:
             pres_of("free:2").enumerate_ball(7)
         pres_of("free:2").enumerate_ball(7, cap=7)
 
+    @pytest.mark.parametrize("name,radius,size", [("free:2", 3, 15), ("scarparo", 3, 8), ("bs:2,3", 4, 30)])
+    def test_element_cap(self, name, radius, size, monkeypatch):
+        pres = pres_of(name)
+        assert len(pres.enumerate_ball(radius)) == size
+        monkeypatch.setattr(order, "BALL_ELEMENT_CAP", size)
+        assert len(pres.enumerate_ball(radius)) == size
+        monkeypatch.setattr(order, "BALL_ELEMENT_CAP", size - 1)
+        with pytest.raises(BallCapExceeded, match=f"exceeds {size - 1} elements"):
+            pres.enumerate_ball(radius)
+
+    def test_element_cap_stops_the_enumeration(self, monkeypatch):
+        # free:2 has 1 + 2 + 4 elements within radius 2: the first product
+        # at radius 3 is the eighth insertion, past the cap, and the last.
+        pres = FreeGroup(2)
+        monkeypatch.setattr(order, "BALL_ELEMENT_CAP", 7)
+        products = []
+        monkeypatch.setattr(pres, "mul", lambda x, y: products.append(x) or FreeGroup.mul(pres, x, y))
+        with pytest.raises(BallCapExceeded):
+            pres.enumerate_ball(6, cap=6)
+        assert len(products) == 2 + 4 + 1
+
 
 class TestBallShift:
     PRESETS = (("hnn-:x,y@x,y", 4), ("bs:2,-3", 5), ("sd:phi-ab", 4))
@@ -53,17 +79,41 @@ class TestBallShift:
             misses = 0
             for x in ball_of(name, 2):
                 want = [ball.index.get(pres.mul(x, p), -1) for p in ball.elements]
-                got = ball.shift(x)
+                got = toeplitz_op(ball, x).arr
                 assert got.tolist() == want, (name, pres.canonical_str(x))
                 misses += want.count(-1)
             assert misses, name
 
-    def test_memoised_and_read_only(self):
-        ball = ball_of("bs:2,-3", 5)
-        x = ball.pres.parse("b a")
-        first = ball.shift(x)
-        assert ball.shift(x) is first
-        assert not first.flags.writeable
+    def test_positivity_guard(self):
+        pres = pres_of("free:2")
+        ball = ball_of("free:2", 3)
+        assert toeplitz_op(ball, pres.parse("a^4")).is_zero()  # positive, off the ball
+        with pytest.raises(PresentationError, match="not positive"):
+            toeplitz_op(ball, pres.parse("a^-1"))
+
+
+class TestJoinGuard:
+    """IntGroup and DirectSum define only ``_join``, so ``join`` checks positivity."""
+
+    def test_int_group(self):
+        pres = IntGroup()
+        assert pres.join(2, 5) == JoinResult.finite(5)
+        with pytest.raises(PresentationError, match="-3 is not positive"):
+            pres.join(-3, 2)
+        assert pres._join(-3, 2) == JoinResult.finite(2)
+
+    def test_direct_sum(self):
+        pres = DirectSum((IntGroup(), IntGroup()))
+        assert pres.join((1, 0), (0, 1)) == JoinResult.finite((1, 1))
+        with pytest.raises(PresentationError, match=r"\(-1, 0\) is not positive"):
+            pres.join((-1, 0), (0, 1))
+
+    def test_direct_sum_calls_component_rules(self):
+        free = pres_of("free:2")
+        pres = DirectSum((IntGroup(), free))
+        a, ab = free.parse("a"), free.parse("a b")
+        assert pres._join((-1, a), (2, ab)) == JoinResult.finite((2, ab))
+        assert pres._join((0, a), (0, free.parse("b"))).is_infinite
 
 
 class TestDirectSumJoin:

@@ -1,9 +1,9 @@
 """The ball order relation against the generic order, and pinned scan reports.
 
-``Ball.order()`` is filled by each family's ``order_matrix`` hook, and
-single rows by its ``leq_row`` hook; these tests compare both with the base
-formula ``is_positive(mul(inv(x), y))`` called unbound, so a family
-override cannot hide behind itself.
+Each family's ``order_matrix(xs, ys)`` hook fills ``Ball.order()`` (xs = ys
+= the ball), single ball rows (one x) and rectangular blocks; these tests
+compare it with the base formula ``is_positive(mul(inv(x), y))`` called
+unbound, so a family override cannot hide behind itself.
 """
 
 import hashlib
@@ -34,8 +34,9 @@ KERNEL_PRESETS = (
 )
 
 
-def generic_matrix(pres, ball):
-    return np.array([[Presentation.leq(pres, x, y) for y in ball] for x in ball], dtype=bool)
+def generic_matrix(pres, xs, ys=None):
+    ys = xs if ys is None else ys
+    return np.array([[Presentation.leq(pres, x, y) for y in ys] for x in xs], dtype=bool).reshape(len(xs), len(ys))
 
 
 class TestOrderMatrix:
@@ -65,6 +66,27 @@ class TestOrderMatrix:
             assert np.array_equal(served, rel[i])
 
 
+RECT_EXTRA = {"int": IntGroup(), "directsum": DirectSum((IntGroup(), FreeGroup(2, ("a", "b"))))}
+
+
+@pytest.mark.parametrize("name", KERNEL_PRESETS + tuple(RECT_EXTRA))
+def test_rectangular_order_matrix_matches_generic(name):
+    """xs != ys, signed elements a^-1 b on both sides, and empty sides."""
+    pres = RECT_EXTRA.get(name) or pres_of(name)
+    ball = list(pres.enumerate_ball(2))
+    rng = random.Random(f"rect-{name}")
+    signed = [pres.mul(pres.inv(rng.choice(ball)), rng.choice(ball)) for _ in range(40)]
+    assert not all(map(pres.is_positive, signed))
+    xs, ys = signed[:15] + ball[::2], ball + signed[15:]
+    expected = generic_matrix(pres, xs, ys)
+    assert expected.any() and not expected.all()
+    assert np.array_equal(pres.order_matrix(xs, ys), expected)
+    assert np.array_equal(pres.order_matrix(ys, xs), generic_matrix(pres, ys, xs))
+    assert pres.order_matrix([], ys).shape == (0, len(ys))
+    assert pres.order_matrix(xs, []).shape == (len(xs), 0)
+    assert pres.order_matrix([], []).shape == (0, 0)
+
+
 SD_LETTERS = {
     "sd:perm3": ("a", "b", "c", "s"),
     "sd:phi-ab": ("a", "b", "s"),
@@ -84,7 +106,7 @@ def random_element(pres, rng, letters, length, signed=True):
 def test_order_matrix_matches_generic_on_balls(name, radius):
     pres = pres_of(name)
     els = list(ball_of(name, radius))
-    assert np.array_equal(pres.order_matrix(els), generic_matrix(pres, els))
+    assert np.array_equal(pres.order_matrix(els, els), generic_matrix(pres, els))
 
 
 SIGNED_LETTERS = dict(SD_LETTERS, **{"sd:swap2": ("a", "b", "s"), "free:2": ("a", "b")})
@@ -116,7 +138,7 @@ def test_order_matrix_matches_generic_on_signed_elements(name, cells, monkeypatc
         assert any(x[1] < 0 for x in els)
     if cells is not None:
         monkeypatch.setattr(words, "QUOTIENT_CHUNK_CELLS", cells)
-    got = pres.order_matrix(els)
+    got = pres.order_matrix(els, els)
     assert np.array_equal(got, generic_matrix(pres, els))
     assert all(got[i, i + 1] for i in range(0, 2 * PAIRS, 2))
 
@@ -152,7 +174,7 @@ def test_semidirect_leq_matches_generic_on_signed_elements(name):
     assert all(expected[2::3])
     ys = [y for _, y in pairs]
     for x, _ in pairs[:60:3]:
-        assert pres.leq_row(x, ys).tolist() == [Presentation.leq(pres, x, y) for y in ys]
+        assert pres.order_matrix([x], ys)[0].tolist() == [Presentation.leq(pres, x, y) for y in ys]
 
 
 # sha256 of the stdout of ``wqlat check-wql P --radius 4 --json``, recorded
