@@ -15,7 +15,6 @@ witnesses these checks take.  Verification never synthesises it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -59,40 +58,42 @@ def check_order_preserving(mor: Morphism, ball: Ball) -> list:
 def check_join_preserving(mor: Morphism, ball: Ball) -> dict:
     """mu(x v y) = mu(x) v mu(y) over ball pairs with a finite structural join.
 
-    Ball elements and their images are joined by the family rules ``_join``
-    without the positivity guard: ball elements are positive by construction.
+    The source joins come from one ``join_table`` of the ball, the image
+    joins from the target rule ``_join``; neither is guarded, as ball
+    elements are positive by construction.
     """
     failures = []
     inconclusive = 0
     els = ball.elements
     images = [mor(x) for x in els]
-    for i, x in enumerate(els):
-        for j, y in enumerate(els[i:], i):
-            r = mor.source._join(x, y)
-            if r.is_inconclusive:
-                inconclusive += 1
-                continue
-            if not r.is_finite:
-                continue
-            tgt = mor.target._join(images[i], images[j])
-            if not (tgt.is_finite and tgt.value == mor(r.value)):
-                failures.append((x, y))
+    table = mor.source.join_table(els)
+    for i, j in sorted(table):
+        r = table[i, j]
+        if r.is_inconclusive:
+            inconclusive += 1
+            continue
+        tgt = mor.target._join(images[i], images[j])
+        if not (tgt.is_finite and tgt.value == mor(r.value)):
+            failures.append((els[i], els[j]))
     return {"failures": failures, "inconclusive": inconclusive, "ok": not failures}
 
 
 def check_sigma_axioms(mor: Morphism, witness: SigmaWitness, ball: Ball) -> dict:
-    """Minimal-element axioms: fiber coverage from below, pairwise infinite joins."""
+    """Minimal-element axioms: fiber coverage from below, pairwise infinite joins.
+
+    Witnesses must be positive; their joins come from one ``join_table`` per fiber.
+    """
     coverage_failures = []
     separation_failures = []
     src = mor.source
     for q, members in sorted(fibers(mor, ball).items(), key=lambda kv: str(kv[0])):
         sigma = list(witness(q, ball))
+        src.require_positive(*sigma)
         covered = src.order_matrix(sigma, members).any(0)
         coverage_failures.extend((q, x) for x, hit in zip(members, covered) if not hit)
-        for a_pos, s in enumerate(sigma):
-            for t in sigma[a_pos + 1:]:
-                if s != t and not src.join(s, t).is_infinite:
-                    separation_failures.append((q, s, t))
+        separation_failures.extend(
+            (q, sigma[i], sigma[j]) for i, j in sorted(src.join_table(sigma)) if sigma[i] != sigma[j]
+        )
     return {
         "coverage_failures": coverage_failures,
         "separation_failures": separation_failures,
@@ -131,9 +132,11 @@ def check_decreasing_cover(mor: Morphism, witness: LambdaWitness, ball: Ball, de
                 disjointness_failures.append((q, x, [classes[c][0] for c in matched]))
             else:
                 assignment[k] = matched[0]
-        for i, j in combinations(sorted(assignment), 2):
-            if assignment[i] != assignment[j] and not src._join(members[i], members[j]).is_infinite:
-                separation_failures.append((q, members[i], members[j]))
+        separation_failures.extend(
+            (q, members[i], members[j])
+            for i, j in sorted(src.join_table(members))
+            if i in assignment and j in assignment and assignment[i] != assignment[j]
+        )
     return {
         "chain_failures": chain_failures,
         "disjointness_failures": disjointness_failures,
@@ -143,8 +146,3 @@ def check_decreasing_cover(mor: Morphism, witness: LambdaWitness, ball: Ball, de
         "ok": not (chain_failures or disjointness_failures or separation_failures or uncovered),
     }
 
-
-def kernel_cone(mor: Morphism, ball: Ball) -> list:
-    """Ball elements in the kernel of the morphism; order and join inherit."""
-    e = mor.target.identity()
-    return [x for x in ball if mor(x) == e]

@@ -23,6 +23,9 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Sequence
+
+import numpy as np
 
 from .controlled import Morphism
 from .order import IntGroup, JoinResult, Presentation, PresentationError
@@ -33,6 +36,7 @@ from .words import (
     format_word,
     is_positive_word,
     is_suffix,
+    positive_quotients,
     word_inv,
     word_mul,
     word_pow,
@@ -43,13 +47,6 @@ PLUS, MINUS = 1, -1
 # Element layout: (parts, eps) with len(parts) == len(eps) + 1,
 # parts are reduced FWords over the base alphabet.
 HnnWord = tuple
-
-
-def omega(u: FWord) -> set[FWord]:
-    """{e} together with every nonempty suffix of u."""
-    if not (u and is_positive_word(u)):
-        raise PresentationError("u must be a nonempty positive word")
-    return {EMPTY} | {u[i:] for i in range(len(u))}
 
 
 def strip_powers(h: FWord, u: FWord) -> tuple[FWord, int]:
@@ -91,20 +88,6 @@ def coset_rep(u: FWord, h: FWord) -> tuple[FWord, int]:
                 return word_mul(h1, alpha), m - 1
         raise AssertionError("unreachable: cancellation without a matching prefix")
     return h0, m
-
-
-def power_exponent(base: FWord, h: FWord) -> int | None:
-    """m with h = base^m, or None."""
-    if not h:
-        return 0
-    if len(h) % len(base):
-        return None
-    m = len(h) // len(base)
-    if h == word_pow(base, m):
-        return m
-    if h == word_pow(base, -m):
-        return -m
-    return None
 
 
 class HnnExtension(Presentation):
@@ -274,6 +257,58 @@ class HnnExtension(Presentation):
             return ((self.t_index, 1),) + tuple(word_pow(self.w, m))
         return tuple(word_pow(self.u, -m)) + ((self.t_index, 1),)
 
+    def order_matrix(self, xs: Sequence[HnnWord], ys: Sequence[HnnWord]) -> np.ndarray:
+        """x <= y by stem blocks: a row without t^-1 tests only the columns that extend its stem.
+
+        Let x = h0 t h1 ... t hj be a normal form with no t^-1.  Then x <= y
+        exactly when y = h0 t ... h(j-1) t r (the stem of x, then r) and
+        hj^-1 r is positive: for a base word r that is ``positive_quotients``;
+        otherwise y must have no t^-1, and for r = g t ... the representative
+        of hj^-1 g modulo <u> a positive word, before r is multiplied out.
+
+        Proof (Britton's lemma, Lyndon and Schupp, ch. IV.2).  If y has that
+        shape, x^-1 y = hj^-1 r.  Otherwise let i <= j be the first syllable
+        where y departs: it has fewer than i t-letters, or its i-th is t^-1,
+        or the part g before it is not h(i-1).  In x^-1 y the matched
+        syllables cancel by pinches t^-1 (h^-1 h) t = e, leaving the junction
+        t^-1 h(i-1)^-1 g t^e.  A pinch there needs e = 1 and h(i-1)^-1 g in
+        <u>; then h(i-1) and g both precede a t, so both represent their
+        cosets of <u> and are equal.  So the word is reduced and keeps a
+        t^-1, and so does the normal form of x^-1 y: it is not positive.
+        Likewise hj^-1 r is reduced with the t-letters of r, and when these
+        are all t nothing pinches back into its first part, the
+        representative of hj^-1 g, which a positive normal form has positive.
+        Rows with a t^-1 keep the default row.
+        """
+        # Columns without t^-1 by the parts h0..h(i-1) of a leading
+        # h0 t ... h(i-1) t: in ``level`` when only a base part follows.
+        level: dict[tuple, list[int]] = {}
+        above: dict[tuple, list[int]] = {}
+        for c, (parts, eps) in enumerate(ys):
+            if -1 not in eps:
+                level.setdefault(parts[:-1], []).append(c)
+                for i in range(len(eps)):
+                    above.setdefault(parts[:i], []).append(c)
+        stems: dict[tuple, list[int]] = {}
+        signed = []
+        for r, (parts, eps) in enumerate(xs):
+            (signed if -1 in eps else stems.setdefault(parts[:-1], [])).append(r)
+        out = np.zeros((len(xs), len(ys)), dtype=bool)
+        out[signed] = super().order_matrix([xs[r] for r in signed], ys)
+        for stem, rows in stems.items():
+            j, tails = len(stem), [xs[r][0][-1] for r in rows]
+            if stem in level:  # r is a base word
+                cols = level[stem]
+                out[np.ix_(rows, cols)] = positive_quotients(tails, [ys[c][0][j] for c in cols])
+            for r, tail in zip(rows, tails):
+                tail_inv = word_inv(tail)
+                for c in above.get(stem, ()):
+                    y_parts, y_eps = ys[c]
+                    first = word_mul(tail_inv, y_parts[j])
+                    if is_positive_word(coset_rep(self.u, first)[0]):
+                        out[r, c] = self.is_positive(self._extend([first], [], zip(y_eps[j:], y_parts[j + 1:])))
+        return out
+
     # -- heights, stems, joins ----------------------------------------------
 
     def height(self, x: HnnWord) -> int:
@@ -316,6 +351,15 @@ class HnnExtension(Presentation):
             (self.canonical_str(stem), lambda n, stem=stem: (stem[0][:-1] + (word_pow(self.w, -n),), stem[1]))
             for stem in self._stems(q, ball)
         ]
+
+    def join_table(self, xs: Sequence[HnnWord]) -> dict:
+        """MINUS: ``comparable_join_table``; PLUS: ``prefix_join_table`` of the stem parts.
+
+        In PLUS x <= z makes the stem of x a prefix of that of z (``order_matrix``).
+        """
+        if self.mode == MINUS:
+            return self.comparable_join_table(xs)
+        return self.prefix_join_table(xs, [x[0][:-1] for x in xs])
 
     def _join(self, x: HnnWord, y: HnnWord) -> JoinResult:
         """Least common upper bound of positive x and y, in closed form.

@@ -21,7 +21,9 @@ array comparisons.  ``Ball.order()`` is the hook over the ball squared;
 ``Ball.leq_row(i)`` is its single row ``elements[i] <= .``, memoised until
 the matrix exists and served from it afterwards, so a ball holds one
 relation.  The oracle reads only the rows it needs, so large balls never
-pay for the matrix.
+pay for the matrix.  The second hook on a ball is ``join_table(xs)``, the
+joins of all pairs that are not infinite, which the controlled-map checks
+read instead of joining pair by pair.
 The oracle is three-valued on purpose: a finite ball can certify a least
 upper bound but never the absence of one.
 """
@@ -163,15 +165,33 @@ class Presentation:
     def is_positive(self, x: Element) -> bool:
         raise NotImplementedError
 
-    def join(self, x: Element, y: Element) -> JoinResult:
-        """Least upper bound of positive x and y, by the family rule ``_join``."""
-        for z in (x, y):
+    def require_positive(self, *xs: Element) -> None:
+        """Raise ``PresentationError`` on the first of xs that is not positive."""
+        for z in xs:
             if not self.is_positive(z):
                 raise PresentationError(f"element {self.canonical_str(z)} is not positive")
+
+    def join(self, x: Element, y: Element) -> JoinResult:
+        """Least upper bound of positive x and y, by the family rule ``_join``."""
+        self.require_positive(x, y)
         return self._join(x, y)
 
     def _join(self, x: Element, y: Element) -> JoinResult:
         raise NotImplementedError
+
+    def join_table(self, xs: Sequence[Element]) -> dict[tuple[int, int], JoinResult]:
+        """``{(i, j): _join(xs[i], xs[j])}`` over i <= j, infinite joins left out, keys in no set order.
+
+        One unguarded ``_join`` per pair of positive elements; families
+        override it where the infinite pairs can be found in bulk.
+        """
+        table = {}
+        for i, x in enumerate(xs):
+            for j in range(i, len(xs)):
+                r = self._join(x, xs[j])
+                if not r.is_infinite:
+                    table[i, j] = r
+        return table
 
     def comparable_join(self, x: Element, y: Element) -> JoinResult:
         """Join where a common upper bound forces comparability: the larger one, or none."""
@@ -180,6 +200,33 @@ class Presentation:
         if self.leq(y, x):
             return JoinResult.finite(x)
         return JoinResult.infinite()
+
+    def comparable_join_table(self, xs: Sequence[Element]) -> dict[tuple[int, int], JoinResult]:
+        """``join_table`` of ``comparable_join``: finite exactly on the comparable pairs of ``order_matrix``."""
+        rel = self.order_matrix(xs, xs)
+        return {
+            (i, j): JoinResult.finite(xs[j] if rel[i, j] else xs[i])
+            for i, j in np.argwhere(np.triu(rel | rel.T)).tolist()
+        }
+
+    def prefix_join_table(self, xs: Sequence[Element], stems: Sequence[tuple]) -> dict[tuple[int, int], JoinResult]:
+        """``join_table`` with ``_join`` only on prefix-comparable stems.
+
+        Exact where x <= z makes the stem of x a prefix of the stem of z.
+        """
+        above: dict[tuple, list[int]] = {}  # stem s -> indices whose stem starts with s
+        for b, s in enumerate(stems):
+            for k in range(len(s) + 1):
+                above.setdefault(s[:k], []).append(b)
+        table = {}
+        for a, s in enumerate(stems):
+            for b in above[s]:
+                if a <= b or len(stems[b]) > len(s):  # each pair once, from its shorter stem
+                    i, j = min(a, b), max(a, b)
+                    r = self._join(xs[i], xs[j])
+                    if not r.is_infinite:
+                        table[i, j] = r
+        return table
 
     def canonical_str(self, x: Element) -> str:
         raise NotImplementedError

@@ -63,14 +63,6 @@ class FreeAutomorphism:
             word = self._substitute(word, table)
         return word
 
-    def preserves_cone(self, max_len: int = 4) -> bool:
-        """Spot check phi(F+) <= F+ on all positive words up to max_len."""
-        from .words import positive_words
-
-        return all(
-            is_positive_word(self.apply(wd, 1)) for wd in positive_words(self.base.n_gens, max_len)
-        )
-
 
 class SemidirectProduct(Presentation):
     """Base product: the projection map, ``s^q`` witnesses and no structural join."""
@@ -174,6 +166,13 @@ class SemidirectProduct(Presentation):
 
 class LevelwiseProduct(SemidirectProduct):
     """Product whose action permutes the base cone: joins are componentwise."""
+
+    def join_table(self, xs: Sequence[SdElement]) -> dict:
+        """The table of the words (one ``positive_quotients``), each join at the larger level."""
+        return {
+            (i, j): JoinResult.finite((r.value, max(xs[i][1], xs[j][1])))
+            for (i, j), r in self.base.join_table([x[0] for x in xs]).items()
+        }
 
     def _join(self, x: SdElement, y: SdElement) -> JoinResult:
         # The words of positive elements are positive: no second guard.

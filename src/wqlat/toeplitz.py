@@ -141,8 +141,8 @@ def toeplitz_op(ball: Ball, x) -> PartialInjection:
     injection.
     """
     pres, index = ball.pres, ball.index
-    if x not in index and not pres.is_positive(x):  # ball elements are positive by construction
-        raise PresentationError(f"element {pres.canonical_str(x)} is not positive")
+    if x not in index:  # ball elements are positive by construction
+        pres.require_positive(x)
     products = (index.get(pres.mul(x, p), -1) for p in ball.elements)
     return PartialInjection.of_array(np.fromiter(products, dtype=np.int32, count=len(ball)))
 

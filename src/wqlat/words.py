@@ -129,14 +129,6 @@ def is_suffix(x: FWord, y: FWord) -> bool:
     return len(x) <= len(y) and (len(x) == 0 or y[-len(x):] == x)
 
 
-def largest_common_suffix(h: FWord, u: FWord) -> FWord:
-    """Longest word that is a suffix of both reduced words."""
-    n = 0
-    while n < len(h) and n < len(u) and h[len(h) - 1 - n] == u[len(u) - 1 - n]:
-        n += 1
-    return h[len(h) - n:]
-
-
 def positive_words(n_gens: int, max_len: int) -> list[FWord]:
     """All positive words of length at most ``max_len``, shortest first."""
     out: list[FWord] = [EMPTY]
@@ -208,6 +200,9 @@ class FreeGroup(Presentation):
         """Length, extended to the group as the letter sum."""
         return Morphism("length", self, IntGroup(), letter_sum)
 
+    # The prefix order: a common upper bound makes two words comparable.
+    join_table = Presentation.comparable_join_table
+
     def _join(self, x: FWord, y: FWord) -> JoinResult:
         # The prefix order is the cone order, so no product is needed.
         if is_prefix(x, y):
@@ -271,6 +266,7 @@ class ScarparoCone(Presentation):
 
     # Cone order, not raw prefix order: x <= y needs x^-1 y in the cone.
     _join = Presentation.comparable_join
+    join_table = Presentation.comparable_join_table
 
     def positive_generators(self) -> list[FWord]:
         # The cone is not finitely generated; balls are enumerated directly.

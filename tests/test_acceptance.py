@@ -144,7 +144,7 @@ def test_criterion_5_controlled_map_suites():
     for name in SIGMA_SUITE + LAMBDA_SUITE:
         pres = pres_of(name)
         mor = pres.morphism()
-        radius = 3 if pres.family in ("graphprod", "hnn") else 4
+        radius = 3 if name.startswith(("graph:", "hnn")) else 4
         ball = ball_of(name, radius)
         if check_order_preserving(mor, ball):
             problems.append((name, "order"))
@@ -153,13 +153,13 @@ def test_criterion_5_controlled_map_suites():
     for name in SIGMA_SUITE:
         pres = pres_of(name)
         mor = pres.morphism()
-        radius = 3 if pres.family in ("graphprod", "hnn") else 4
+        radius = 3 if name.startswith(("graph:", "hnn")) else 4
         if not check_sigma_axioms(mor, pres.sigma_witness, ball_of(name, radius))["ok"]:
             problems.append((name, "sigma"))
     for name in LAMBDA_SUITE:
         pres = pres_of(name)
         mor = pres.morphism()
-        radius = 3 if pres.family == "hnn" else 4
+        radius = 3 if name.startswith("hnn") else 4
         report = check_decreasing_cover(mor, pres.lambda_witness, ball_of(name, radius), 6)
         if not report["ok"]:
             problems.append((name, "lambda"))

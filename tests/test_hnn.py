@@ -3,10 +3,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from wqlat.hnn import MINUS, HnnExtension, coset_rep, omega, power_exponent
+from wqlat.hnn import MINUS, HnnExtension, coset_rep
 from wqlat.order import JoinResult, Presentation, PresentationError, oracle_join, verify_join
 from wqlat.presets import get_presentation
-from wqlat.words import EMPTY, FreeGroup, positive_words, reduce_word, word_inv, word_mul, word_pow
+from wqlat.words import EMPTY, FreeGroup, is_positive_word, positive_words, reduce_word, word_inv, word_mul, word_pow
 
 from conftest import ball_of, pres_of
 
@@ -19,6 +19,27 @@ LAW_PRESETS = ("hnn+:x,y@x,y", "hnn-:x,y@x,y", "hnn+:xy,yx@x,y", "hnn-:xy,x@x,y"
 
 # Signed letters over x, y and t (index 2).
 signed_letters = st.lists(st.tuples(st.integers(min_value=0, max_value=2), st.sampled_from((1, -1))), max_size=12)
+
+
+def omega(u):
+    """{e} together with every nonempty suffix of u."""
+    if not (u and is_positive_word(u)):
+        raise PresentationError("u must be a nonempty positive word")
+    return {EMPTY} | {u[i:] for i in range(len(u))}
+
+
+def power_exponent(base, h):
+    """m with h = base^m, or None."""
+    if not h:
+        return 0
+    if len(h) % len(base):
+        return None
+    m = len(h) // len(base)
+    if h == word_pow(base, m):
+        return m
+    if h == word_pow(base, -m):
+        return -m
+    return None
 
 
 def random_free_word(rng, max_len=8, n_gens=2):

