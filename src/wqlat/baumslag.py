@@ -239,16 +239,18 @@ class BaumslagSolitar(Presentation):
         """b^{nd} a, the n-th element of the descending chain."""
         return self.canon([(B, 1)] * (n * self.params.d_abs) + [(A, 1)])
 
-    def chain_demo(self, depth: int, ball=None) -> dict:
+    def chain_demo(self, depth: int) -> dict:
         """Exercise the descending chain b^{nd} a below a, above h = a b^-d a^-1.
 
-        Checks, on the ball of radius ``depth`` unless one is supplied:
-        h <= b^{nd} a for n <= depth with the explicit positive quotient
-        b^{nd} a b^d, strict descent of the chain, and that no ball element
-        above h sits below the whole truncated chain.
+        Checks, on the ball of radius ``depth``: h <= b^{nd} a for n <= depth
+        with the explicit positive quotient b^{nd} a b^d, strict descent of
+        the chain, and that no ball element above h sits below the whole
+        truncated chain.  The ball comes first, so a depth whose ball the
+        element cap refuses builds no chain.
         """
         if self.params.d_signed > 0:
             raise PresentationError("chain demo requires d' < 0")
+        ball = self.enumerate_ball(depth, cap=depth)
         d = self.params.d_abs
         h = self.canon([(A, 1)] + [(B, -1)] * d + [(A, -1)])
         chain = [self.chain_element(n) for n in range(depth + 1)]
@@ -263,8 +265,6 @@ class BaumslagSolitar(Presentation):
             for n in range(depth)
             if not (self.leq(chain[n + 1], chain[n]) and not self.leq(chain[n], chain[n + 1]))
         ]
-        if ball is None:
-            ball = self.enumerate_ball(depth, cap=depth)
         interpolants = [
             self.canonical_str(x)
             for x in ball

@@ -250,7 +250,7 @@ class Presentation:
             out[i] = np.fromiter((positive(mul(xi, y)) for y in ys), dtype=bool, count=len(ys))
         return out
 
-    def chain_demo(self, depth: int, ball=None) -> dict:
+    def chain_demo(self, depth: int) -> dict:
         raise PresentationError(f"{self.name} has no descending chain demonstration")
 
     def positive_witness(self, x: Element):

@@ -13,7 +13,13 @@ from .order import Presentation, PresentationError
 from .words import FreeGroup, ScarparoCone
 
 
-def get_presentation(name: str) -> Presentation:
+def get_presentation(name: str, within: frozenset = frozenset()) -> Presentation:
+    """The presentation a preset name denotes.
+
+    ``within`` holds the graph files being read, so that a file naming
+    itself through its vertices, directly or through other files, is
+    refused instead of read forever.
+    """
     if name == "scarparo":
         return ScarparoCone()
     if name.startswith("free:"):
@@ -24,7 +30,7 @@ def get_presentation(name: str) -> Presentation:
     if name.startswith("hnn+:") or name.startswith("hnn-:"):
         return _hnn(name)
     if name.startswith("graph:"):
-        return _graph(name[6:])
+        return _graph(name[6:], within)
     if name.startswith("sd:"):
         return _semidirect(name[3:])
     raise PresentationError(f"unknown preset {name!r}")
@@ -62,7 +68,7 @@ _GRAPH_PRESETS = {
 }
 
 
-def _graph(spec: str) -> GraphProduct:
+def _graph(spec: str, within: frozenset) -> GraphProduct:
     if spec in _GRAPH_PRESETS:
         n, edges = _GRAPH_PRESETS[spec]
         vertices = [FreeGroup(1) for _ in range(n)]
@@ -80,7 +86,10 @@ def _graph(spec: str) -> GraphProduct:
             and all(isinstance(e, list) and len(e) == 2 and all(type(k) is int for k in e) for e in edges)
         ):
             raise PresentationError(f"graph file {path.name} needs 'vertices' (preset names) and 'edges' (index pairs)")
-        vertices = [get_presentation(v) for v in names]
+        key = path.resolve()
+        if key in within:
+            raise PresentationError(f"graph file {path.name} names itself through its vertices")
+        vertices = [get_presentation(v, within | {key}) for v in names]
         return GraphProduct(Graph(len(vertices), edges), vertices, name=f"graph:{path.name}")
     raise PresentationError(f"unknown graph preset {spec!r}")
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wqlat
 from wqlat.cli import main
 from wqlat.presets import ACCEPTANCE_PRESETS
 
@@ -153,6 +158,19 @@ class TestScanVerbs:
         code, _, _ = run(capsys, "demo-chain", "bs:2,-3", "--n", "4")
         assert code == 0
 
+    def test_demo_chain_refused_before_its_chain(self, capsys, monkeypatch):
+        # The element cap refuses the radius-6000 ball before any of the 6001
+        # chain words (up to 18 000 letters each) is built.
+        from wqlat.baumslag import BaumslagSolitar
+
+        def unreachable(self, n):
+            raise AssertionError("chain built before the ball")
+
+        monkeypatch.setattr(BaumslagSolitar, "chain_element", unreachable)
+        code, out, err = run(capsys, "demo-chain", "bs:2,-3", "--n", "6000")
+        assert code == 64 and out == ""
+        assert err == "wqlat: error: ball of radius 6000 exceeds 8192 elements\n"
+
     def test_demo_chain_divisible_case(self, capsys):
         code, out, _ = run(capsys, "demo-chain", "bs:1,-1", "--n", "4")
         assert code == 2 and "interpolants" in out
@@ -257,6 +275,135 @@ class TestUsageErrors:
         code, out, err = run(capsys, "nf", f"graph:{path}", "e")
         assert code == 64 and out == ""
         assert err.startswith("wqlat: error: graph file bad.json") and err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("cycle", ["direct", "two-file"])
+    def test_graph_file_cycle(self, capsys, tmp_path, cycle):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        if cycle == "direct":
+            first.write_text(json.dumps({"vertices": ["free:1", f"graph:{first}"], "edges": []}))
+        else:
+            first.write_text(json.dumps({"vertices": [f"graph:{second}"], "edges": []}))
+            second.write_text(json.dumps({"vertices": ["free:1", f"graph:{first}"], "edges": [[0, 1]]}))
+        code, out, err = run(capsys, "nf", f"graph:{first}", "e")
+        assert code == 64 and out == ""
+        assert err == "wqlat: error: graph file first.json names itself through its vertices\n"
+
+    def test_nested_graph_file(self, capsys, tmp_path):
+        # A file named twice, with no cycle, is read, not refused.
+        inner, outer = tmp_path / "inner.json", tmp_path / "outer.json"
+        inner.write_text(json.dumps({"vertices": ["free:1", "free:1"], "edges": [[0, 1]]}))
+        outer.write_text(json.dumps({"vertices": [f"graph:{inner}", f"graph:{inner}", "free:2"], "edges": []}))
+        code, out, _ = run(capsys, "ball", f"graph:{outer}", "--radius", "1", "--json")
+        assert code == 0
+        assert json.loads(out)["findings"] == [
+            {
+                "size": 7,
+                "elements": ["e", "[v0: [v0: a]]", "[v0: [v1: a]]", "[v1: [v0: a]]", "[v1: [v1: a]]", "[v2: a]", "[v2: b]"],
+            }
+        ]
+
+
+# (verb, option strings, dest, default, type, choices) of every subparser
+# action but -h: the verbs, options and defaults users and scripts rely on.
+GRAMMAR = {
+    ("ball", ("--json",), "json", False, None, None),
+    ("ball", ("--max-radius",), "max_radius", 6, "int", None),
+    ("ball", ("--radius",), "radius", 4, "int", None),
+    ("ball", (), "preset", None, None, None),
+    ("check-controlled", ("--chain-depth",), "chain_depth", 6, "int", None),
+    ("check-controlled", ("--json",), "json", False, None, None),
+    ("check-controlled", ("--max-radius",), "max_radius", 6, "int", None),
+    ("check-controlled", ("--mode",), "mode", None, None, ("sigma", "lambda")),
+    ("check-controlled", ("--radius",), "radius", 4, "int", None),
+    ("check-controlled", (), "preset", None, None, None),
+    ("check-wql", ("--json",), "json", False, None, None),
+    ("check-wql", ("--max-radius",), "max_radius", 6, "int", None),
+    ("check-wql", ("--radius",), "radius", 5, "int", None),
+    ("check-wql", (), "preset", None, None, None),
+    ("demo-chain", ("--json",), "json", False, None, None),
+    ("demo-chain", ("--n",), "n", 4, "int", None),
+    ("demo-chain", (), "preset", None, None, None),
+    ("join", ("--json",), "json", False, None, None),
+    ("join", ("--max-radius",), "max_radius", 6, "int", None),
+    ("join", ("--oracle",), "oracle", False, None, None),
+    ("join", ("--radius",), "radius", 4, "int", None),
+    ("join", (), "preset", None, None, None),
+    ("join", (), "x", None, None, None),
+    ("join", (), "y", None, None, None),
+    ("leq", ("--json",), "json", False, None, None),
+    ("leq", (), "preset", None, None, None),
+    ("leq", (), "x", None, None, None),
+    ("leq", (), "y", None, None, None),
+    ("nf", ("--json",), "json", False, None, None),
+    ("nf", (), "element", None, None, None),
+    ("nf", (), "preset", None, None, None),
+    ("nica-verify", ("--json",), "json", False, None, None),
+    ("nica-verify", ("--max-radius",), "max_radius", 6, "int", None),
+    ("nica-verify", ("--pairs",), "pairs", "all", None, None),
+    ("nica-verify", ("--radius",), "radius", 6, "int", None),
+    ("nica-verify", ("--safe-radius",), "safe_radius", 3, "int", None),
+    ("nica-verify", ("--seed",), "seed", 0, "int", None),
+    ("nica-verify", (), "preset", None, None, None),
+    ("op", ("--json",), "json", False, None, None),
+    ("op", ("--max-radius",), "max_radius", 6, "int", None),
+    ("op", ("--radius",), "radius", 3, "int", None),
+    ("op", (), "element", None, None, None),
+    ("op", (), "preset", None, None, None),
+    ("pos", ("--json",), "json", False, None, None),
+    ("pos", (), "element", None, None, None),
+    ("pos", (), "preset", None, None, None),
+}
+
+
+class TestGrammar:
+    def test_grammar_is_pinned(self):
+        import argparse
+
+        from wqlat.cli import build_parser
+
+        (verbs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        got = {
+            (verb, tuple(a.option_strings), a.dest, a.default, a.type and a.type.__name__, a.choices and tuple(a.choices))
+            for verb, sub in verbs.choices.items()
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        assert got == GRAMMAR
+
+    def test_grammar_built_once(self, capsys, monkeypatch):
+        import wqlat.cli as cli
+
+        builds = []
+        init = cli.Parser.__init__
+
+        def counted(self, *args, **kwargs):
+            if kwargs.get("prog") == "wqlat":
+                builds.append(kwargs)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli.Parser, "__init__", counted)
+        for argv in (["nf", "free:2", "a b"], ["ball", "free:2", "--radius", "1"], ["leq", "free:2", "a", "a b"]):
+            assert run(capsys, *argv)[0] == 0
+        assert len(builds) <= 1
+
+    def test_reused_parser_leaks_no_state(self, capsys):
+        # One process, then a fresh process per call: the same bytes.  The
+        # second call omits --mode, so bs:2,-3 must fall back to lambda.
+        calls = [
+            ("check-controlled", "bs:2,-3", "--radius", "3", "--mode", "sigma", "--json"),
+            ("check-controlled", "bs:2,-3", "--radius", "3", "--json"),
+            ("ball", "scarparo", "--radius", "2"),
+        ]
+        in_process = [run(capsys, *argv) for argv in calls]
+        env = dict(os.environ, PYTHONPATH=str(Path(wqlat.__file__).parents[1]))
+        script = "import sys; from wqlat.cli import main; sys.exit(main(sys.argv[1:]))"
+        fresh = []
+        for argv in calls:
+            done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env)
+            fresh.append((done.returncode, done.stdout, done.stderr))
+        assert in_process == fresh
+        assert [json.loads(out)["parameters"]["mode"] for _, out, _ in fresh[:2]] == ["sigma", "lambda"]
 
 
 class TestParseRoundTrips:
