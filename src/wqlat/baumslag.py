@@ -189,7 +189,7 @@ class BaumslagSolitar(Presentation):
         labels = sorted({x[0][:q] for x in ball if self.height(x) == q})
         return [(str(label), lambda n, label=label: (label + (-n,), (1,) * q)) for label in labels]
 
-    def join_table(self, xs) -> dict:
+    def join_table(self, xs, rel=None) -> dict:
         """d' < 0: ``comparable_join_table``; d' > 0: ``prefix_join_table`` of the exponents before each a.
 
         For d' > 0 this is the HNN extension of <b> with a^-1 b^d' a = b^c,
@@ -198,7 +198,7 @@ class BaumslagSolitar(Presentation):
         pinch a^-1 b^(g-h) a needs d' | g - h, so g = h.
         """
         if self.params.d_signed < 0:
-            return self.comparable_join_table(xs)
+            return self.comparable_join_table(xs, rel)
         return self.prefix_join_table(xs, [x[0][:-1] for x in xs])
 
     def _join(self, x: BsWord, y: BsWord) -> JoinResult:

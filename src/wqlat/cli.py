@@ -89,7 +89,7 @@ def _join(pres, args):
 
 def _elements(pres, args):
     ball = _ball(pres, args)
-    findings = [{"size": len(ball), "elements": [pres.canonical_str(el) for el in ball]}]
+    findings = [{"size": len(ball), "elements": list(ball.names)}]
     return {"radius": args.radius}, findings, "pass"
 
 
@@ -151,23 +151,20 @@ def _nica_verify(pres, args):
     k = _sample_size(args.pairs)
     ball = _ball(pres, args)
     safe = SafeRegion.of(ball, args.safe_radius)
-    candidates = [ball.elements[i] for i in safe.indices]
-    pairs = [(x, y) for x in candidates for y in candidates]
+    pairs = [(a, b) for a in safe.indices for b in safe.indices]
     if k is not None:
         rng = random.Random(args.seed)
         pairs = rng.sample(pairs, min(k, len(pairs)))
     findings = []
     inconclusive = 0
-    for x, y in pairs:
-        result = check_nica(pres, x, y, ball, safe)
+    for a, b in pairs:
+        result = check_nica(pres, ball.elements[a], ball.elements[b], ball, safe)
         if result["verdict"] in ("inconclusive", "truncated"):
             # A truncated comparison says nothing either way; a larger
             # enclosing ball is needed.
             inconclusive += 1
         elif result["verdict"] == "fail":
-            findings.append(
-                {"pair": [pres.canonical_str(x), pres.canonical_str(y)], "classification": "covariance failure"}
-            )
+            findings.append({"pair": [ball.names[a], ball.names[b]], "classification": "covariance failure"})
     findings.sort(key=lambda f: f["pair"])
     verdict = "violation" if findings else ("inconclusive" if inconclusive else "pass")
     params = {"radius": args.radius, "safe_radius": args.safe_radius, "pairs": args.pairs, "seed": args.seed}
@@ -182,7 +179,7 @@ def _demo_chain(pres, args):
 def _op(pres, args):
     ball = _ball(pres, args)
     op = toeplitz_op(ball, pres.parse(args.element))
-    findings = [{"basis": [pres.canonical_str(el) for el in ball], "rows": op.to_dense().tolist()}]
+    findings = [{"basis": list(ball.names), "rows": op.to_dense().tolist()}]
     return {"element": args.element, "radius": args.radius}, findings, "pass"
 
 

@@ -58,7 +58,8 @@ def check_order_preserving(mor: Morphism, ball: Ball) -> list:
 def check_join_preserving(mor: Morphism, ball: Ball) -> dict:
     """mu(x v y) = mu(x) v mu(y) over ball pairs with a finite structural join.
 
-    The source joins come from one ``join_table`` of the ball, the image
+    The source joins come from one ``join_table`` of the ball, handed the
+    ball's relation (which ``check_order_preserving`` builds), the image
     joins from the target rule ``_join``; neither is guarded, as ball
     elements are positive by construction.
     """
@@ -66,7 +67,7 @@ def check_join_preserving(mor: Morphism, ball: Ball) -> dict:
     inconclusive = 0
     els = ball.elements
     images = [mor(x) for x in els]
-    table = mor.source.join_table(els)
+    table = mor.source.join_table(els, ball.order())
     for i, j in sorted(table):
         r = table[i, j]
         if r.is_inconclusive:

@@ -352,13 +352,13 @@ class HnnExtension(Presentation):
             for stem in self._stems(q, ball)
         ]
 
-    def join_table(self, xs: Sequence[HnnWord]) -> dict:
+    def join_table(self, xs: Sequence[HnnWord], rel=None) -> dict:
         """MINUS: ``comparable_join_table``; PLUS: ``prefix_join_table`` of the stem parts.
 
         In PLUS x <= z makes the stem of x a prefix of that of z (``order_matrix``).
         """
         if self.mode == MINUS:
-            return self.comparable_join_table(xs)
+            return self.comparable_join_table(xs, rel)
         return self.prefix_join_table(xs, [x[0][:-1] for x in xs])
 
     def _join(self, x: HnnWord, y: HnnWord) -> JoinResult:

@@ -11,10 +11,10 @@ into an amenable ordered group, minimal-element and decreasing-chain
 witnesses, and positive-letter witnesses of positivity.
 
 On top of that sit finite balls (breadth-first closure of {e} under the
-positive generators, at most ``BALL_ELEMENT_CAP`` elements) with their order
-relation, a conservative brute-force join oracle, and the
-weak-quasi-lattice violation scan.  The relation has one family hook,
-``Presentation.order_matrix(xs, ys)``, the boolean matrix of ``x <= y``:
+positive generators, at most ``BALL_ELEMENT_CAP`` elements) with their
+canonical names and order relation, a conservative brute-force join
+oracle, and the weak-quasi-lattice violation scan.  The relation has one
+family hook, ``Presentation.order_matrix(xs, ys)``, the boolean matrix of ``x <= y``:
 by default one inverse per x and one product per pair, in the free groups
 and semidirect products numpy kernels, in the integers and direct sums
 array comparisons.  ``Ball.order()`` is the hook over the ball squared;
@@ -26,6 +26,14 @@ joins of all pairs that are not infinite, which the controlled-map checks
 read instead of joining pair by pair.
 The oracle is three-valued on purpose: a finite ball can certify a least
 upper bound but never the absence of one.
+
+The scan reads the whole relation.  It finds the minimal upper bounds of
+all candidate pairs by one float32 matrix product per chunk of pairs (the
+proof is in ``check_weak_ql``); after the bounded pairs are found it holds
+one n x n float32 matrix and one chunk of at most ``SCAN_CHUNK_CELLS``
+cells besides the relation.
+Every report that lists ball elements reads their names from
+``Ball.names``, the strings the ball was sorted by.
 """
 
 from __future__ import annotations
@@ -42,6 +50,12 @@ DEFAULT_RADIUS_CAP = 6
 # builds today has under 5000 elements, and the n x n relation of 8192
 # elements is 64 MB.
 BALL_ELEMENT_CAP = 8192
+# Cell cap of one chunk of candidate pairs in ``check_weak_ql``.  A chunk
+# takes 9 bytes a cell (bounds, their float32 copy, the counts), under 300 KB,
+# so on balls of 250 elements or more it stays below the 9 n^2 bytes of the
+# bounded-pair product before it; 2**18 cells was faster on larger balls but
+# raised the scan's peak memory.
+SCAN_CHUNK_CELLS = 1 << 15
 
 Element = Any
 
@@ -179,11 +193,13 @@ class Presentation:
     def _join(self, x: Element, y: Element) -> JoinResult:
         raise NotImplementedError
 
-    def join_table(self, xs: Sequence[Element]) -> dict[tuple[int, int], JoinResult]:
+    def join_table(self, xs: Sequence[Element], rel: np.ndarray | None = None) -> dict[tuple[int, int], JoinResult]:
         """``{(i, j): _join(xs[i], xs[j])}`` over i <= j, infinite joins left out, keys in no set order.
 
         One unguarded ``_join`` per pair of positive elements; families
-        override it where the infinite pairs can be found in bulk.
+        override it where the infinite pairs can be found in bulk.  A caller
+        that holds ``order_matrix(xs, xs)`` passes it as ``rel``, so a table
+        read off the order does not build it again.
         """
         table = {}
         for i, x in enumerate(xs):
@@ -201,9 +217,12 @@ class Presentation:
             return JoinResult.finite(x)
         return JoinResult.infinite()
 
-    def comparable_join_table(self, xs: Sequence[Element]) -> dict[tuple[int, int], JoinResult]:
+    def comparable_join_table(
+        self, xs: Sequence[Element], rel: np.ndarray | None = None
+    ) -> dict[tuple[int, int], JoinResult]:
         """``join_table`` of ``comparable_join``: finite exactly on the comparable pairs of ``order_matrix``."""
-        rel = self.order_matrix(xs, xs)
+        if rel is None:
+            rel = self.order_matrix(xs, xs)
         return {
             (i, j): JoinResult.finite(xs[j] if rel[i, j] else xs[i])
             for i, j in np.argwhere(np.triu(rel | rel.T)).tolist()
@@ -293,25 +312,30 @@ class Ball:
     """Finite ordered stand-in for P: all elements of generator length <= radius.
 
     Elements are sorted by (length, canonical string) so reports and indices
-    are reproducible.  The identity sits at index 0.  Besides the elements a
+    are reproducible; ``names`` keeps those strings, aligned with
+    ``elements``.  The identity sits at index 0.  Besides the elements a
     ball holds one thing, their order relation from the family's
     ``order_matrix``: read by rows (``leq_row``, memoised) or whole
     (``order()``); after ``order()`` the rows are its rows.
     """
 
-    def __init__(self, pres: Presentation, radius: int, elements: Sequence[Element], lengths: Sequence[int]):
+    def __init__(
+        self, pres: Presentation, radius: int, elements: Sequence[Element], lengths: Sequence[int], names: Sequence[str]
+    ):
         self.pres = pres
         self.radius = radius
         self.elements = tuple(elements)
         self.lengths = tuple(lengths)
+        self.names = tuple(names)
         self.index = {el: i for i, el in enumerate(self.elements)}
         self._rows: dict[int, np.ndarray] = {}
         self._order: np.ndarray | None = None
 
     @classmethod
     def build(cls, pres: Presentation, radius: int, lengths: dict[Element, int]) -> "Ball":
-        ordered = sorted(lengths, key=lambda el: (lengths[el], pres.canonical_str(el)))
-        return cls(pres, radius, ordered, [lengths[el] for el in ordered])
+        els = list(lengths)
+        keys = sorted((lengths[el], pres.canonical_str(el), k) for k, el in enumerate(els))
+        return cls(pres, radius, [els[k] for _, _, k in keys], [n for n, _, _ in keys], [s for _, s, _ in keys])
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -357,15 +381,6 @@ class Ball:
         return self._order
 
 
-def _minimal(idx: np.ndarray, rel: np.ndarray) -> np.ndarray:
-    """Members of ``idx`` with no other member strictly below them.
-
-    ``rel[a, b]`` is ``idx[a] <= idx[b]``; it is overwritten.
-    """
-    np.fill_diagonal(rel, False)
-    return idx[~rel.any(0)]
-
-
 def oracle_join(pres: Presentation, x: Element, y: Element, ball: Ball) -> JoinResult:
     """Brute-force join over a ball, independent of any structural algorithm.
 
@@ -395,25 +410,44 @@ def check_weak_ql(pres: Presentation, ball: Ball) -> list[dict]:
     A finding records a pair with at least two mutually incomparable minimal
     upper bounds in the ball and no ball element that is a common upper
     bound lying below both.  Findings are candidates only: the true join
-    could live outside the ball.
+    could live outside the ball.  Their names are read from ``ball.names``.
 
     Only incomparable pairs with a common upper bound can fail: if x <= y,
     y is the least upper bound.  The second clause follows from the first:
     a common upper bound below two distinct minimal ones equals both.
+
+    Minimality is one matrix product per chunk of candidate pairs.  Let R
+    be the relation as 0/1 float32 and S the same with its diagonal
+    cleared, so ``S[u, m]`` says u < m (the order is antisymmetric).  For a
+    pair with upper bounds U, ``(U @ S)[m]`` counts the members of U
+    strictly below m, so m in U is minimal iff that count is 0.  Every
+    count is at most ``BALL_ELEMENT_CAP`` < 2**24, so float32 holds it
+    exactly.  S overwrites R in place once the bounded pairs (those with
+    a nonzero entry in R R^T) are known; from then on the scan holds, besides
+    the relation, S and one chunk's bounds and counts, each of at most
+    ``SCAN_CHUNK_CELLS`` cells.
     """
     rel = ball.order()
-    as_float = rel.astype(np.float32)  # exact counts; uint8 would wrap at 256
+    as_float = rel.astype(np.float32)
     bounded = (as_float @ as_float.T) > 0
-    candidates = bounded & ~rel & ~rel.T
+    np.fill_diagonal(as_float, 0)  # now S
+    bounded &= ~rel
+    bounded &= ~rel.T
+    pairs = np.argwhere(np.triu(bounded, 1))
+    del bounded
+    names = ball.names
     findings: list[dict] = []
-    for i, j in zip(*np.nonzero(np.triu(candidates, 1))):
-        ubs = np.flatnonzero(rel[i] & rel[j])
-        minimal = _minimal(ubs, rel[np.ix_(ubs, ubs)])
-        if len(minimal) >= 2:
+    step = max(1, SCAN_CHUNK_CELLS // max(1, len(ball)))
+    for lo in range(0, len(pairs), step):
+        chunk = pairs[lo:lo + step]
+        ubs = rel[chunk[:, 0]] & rel[chunk[:, 1]]
+        minimal = ubs & ((ubs.astype(np.float32) @ as_float) == 0)
+        for r in np.flatnonzero(np.count_nonzero(minimal, axis=1) >= 2).tolist():
+            i, j = chunk[r].tolist()
             findings.append(
                 {
-                    "pair": sorted(pres.canonical_str(ball.elements[k]) for k in (i, j)),
-                    "upper_bounds": sorted(pres.canonical_str(ball.elements[m]) for m in minimal),
+                    "pair": sorted((names[i], names[j])),
+                    "upper_bounds": sorted(names[m] for m in np.flatnonzero(minimal[r]).tolist()),
                     "classification": "violation candidate within ball",
                 }
             )

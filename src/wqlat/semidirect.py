@@ -167,8 +167,11 @@ class SemidirectProduct(Presentation):
 class LevelwiseProduct(SemidirectProduct):
     """Product whose action permutes the base cone: joins are componentwise."""
 
-    def join_table(self, xs: Sequence[SdElement]) -> dict:
-        """The table of the words (one ``positive_quotients``), each join at the larger level."""
+    def join_table(self, xs: Sequence[SdElement], rel=None) -> dict:
+        """The table of the words (one ``positive_quotients``), each join at the larger level.
+
+        ``rel`` is not the order of the words, so it is not used.
+        """
         return {
             (i, j): JoinResult.finite((r.value, max(xs[i][1], xs[j][1])))
             for (i, j), r in self.base.join_table([x[0] for x in xs]).items()
@@ -206,6 +209,10 @@ class PhiAbProduct(SemidirectProduct):
                     word = word[:-1]
                 out.add((word, x[1]))
         return sorted(out, key=self.canonical_str)
+
+    def join_table(self, xs: Sequence[SdElement], rel=None) -> dict:
+        """``prefix_join_table`` of the words: ``_join`` is infinite unless one is a prefix of the other."""
+        return self.prefix_join_table(xs, [x[0] for x in xs])
 
     def word_exponents(self, v: FWord) -> list[int]:
         """Exponents [i0..ik] of b around the a-letters in a positive word."""

@@ -3,7 +3,8 @@
 Each family's ``order_matrix(xs, ys)`` hook fills ``Ball.order()`` (xs = ys
 = the ball), single ball rows (one x) and rectangular blocks; these tests
 compare it with the base formula ``is_positive(mul(inv(x), y))`` called
-unbound, so a family override cannot hide behind itself.
+unbound, so a family override cannot hide behind itself.  The batched WQL
+scan is compared in the same way with a per-candidate reference scan.
 """
 
 import hashlib
@@ -13,9 +14,10 @@ import random
 import numpy as np
 import pytest
 
-from wqlat import words
+from wqlat import order, words
 from wqlat.cli import main
-from wqlat.order import DirectSum, IntGroup, JoinResult, Presentation, _minimal, oracle_join
+from wqlat.order import DirectSum, IntGroup, JoinResult, Presentation, check_weak_ql, oracle_join
+from wqlat.presets import get_presentation
 from wqlat.words import FreeGroup, is_positive_word, positive_quotients, word_inv, word_mul
 
 from conftest import ball_of, pres_of
@@ -211,6 +213,101 @@ def test_check_wql_report_digest(name, capsys, tmp_path):
     out = capsys.readouterr().out
     assert code == (2 if name == "sd:nonexample" else 0)
     assert hashlib.sha256(out.encode()).hexdigest() == WQL_RADIUS4_DIGESTS[name]
+
+
+# argv of ``wqlat`` -> (sha256 of stdout, exit code), recorded from the CLI
+# of the commit before the batched scan and ``Ball.names``; radius 4 of the
+# nonexample is pinned above.
+REPORT_DIGESTS = {
+    ("check-wql", "sd:nonexample", "--radius", "5", "--json"): (
+        "0fc20e7b3830ca0dbd3cbf7668c7f59fb6feb41bf93f43a8857ce2ba59e7c1de", 2),
+    ("check-wql", "sd:nonexample", "--radius", "6", "--json"): (
+        "e51200e6ae468830710d115d5311d88db5b10c908602d03bc41477fb3191fc9c", 2),
+    ("check-wql", "graph:path3", "--radius", "5", "--json"): (
+        "3747fc3fbea7695716f13d68cd50954ed765d1eeb03e67fc7fde472d1eeb6d6b", 0),
+    ("ball", "hnn-:x,y@x,y", "--radius", "6", "--json"): (
+        "270a754f77b6092efa0388019a767a57196742ba17e3fdf22c11f126423e5253", 0),
+    ("op", "bs:2,-3", "b a", "--radius", "3", "--json"): (
+        "f3f63cd80827283fbf268af50d1dd459fc261830a3f599f155d3beea7f345226", 0),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(REPORT_DIGESTS), ids=" ".join)
+def test_report_digest(capsys, argv):
+    code = main(list(argv))
+    assert (hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(), code) == REPORT_DIGESTS[argv]
+
+
+def _minimal(idx, rel):
+    """Members of ``idx`` with no other member strictly below them.
+
+    ``rel[a, b]`` is ``idx[a] <= idx[b]``; it is overwritten.
+    """
+    np.fill_diagonal(rel, False)
+    return idx[~rel.any(0)]
+
+
+def reference_weak_ql(pres, ball):
+    """``check_weak_ql`` one candidate pair at a time, names from ``canonical_str``."""
+    rel = ball.order()
+    as_float = rel.astype(np.float32)
+    candidates = ((as_float @ as_float.T) > 0) & ~rel & ~rel.T
+    findings = []
+    for i, j in zip(*np.nonzero(np.triu(candidates, 1))):
+        ubs = np.flatnonzero(rel[i] & rel[j])
+        bounds = _minimal(ubs, rel[np.ix_(ubs, ubs)])
+        if len(bounds) >= 2:
+            findings.append(
+                {
+                    "pair": sorted(pres.canonical_str(ball.elements[k]) for k in (i, j)),
+                    "upper_bounds": sorted(pres.canonical_str(ball.elements[m]) for m in bounds),
+                    "classification": "violation candidate within ball",
+                }
+            )
+    findings.sort(key=lambda f: (f["pair"], f["upper_bounds"]))
+    return findings
+
+
+WQL_REFERENCE_BALLS = (
+    ("sd:nonexample", 4),
+    ("sd:nonexample", 5),
+    ("sd:nonexample", 6),
+    ("graph:path3", 6),
+    ("sd:phi-ab", 6),
+    ("sd:perm3", 5),
+    ("bs:2,3", 6),
+    ("hnn+:x,y@x,y", 4),
+    ("hnn-:x,y@x,y", 4),
+)
+_REFERENCE: dict = {}
+
+
+@pytest.mark.parametrize("cells", [None, 1], ids=["default-chunks", "one-pair-chunks"])
+@pytest.mark.parametrize("name, radius", WQL_REFERENCE_BALLS)
+def test_check_weak_ql_matches_reference(name, radius, cells, monkeypatch):
+    pres, ball = pres_of(name), ball_of(name, radius)
+    if (name, radius) not in _REFERENCE:
+        _REFERENCE[name, radius] = reference_weak_ql(pres, ball)
+    if cells is not None:
+        monkeypatch.setattr(order, "SCAN_CHUNK_CELLS", cells)
+    findings = check_weak_ql(pres, ball)
+    assert findings == _REFERENCE[name, radius]
+    assert len(findings) == {("sd:nonexample", 4): 47, ("sd:nonexample", 5): 170,
+                             ("sd:nonexample", 6): 541}.get((name, radius), 0)
+
+
+@pytest.mark.parametrize("name", KERNEL_PRESETS)
+def test_ball_names_are_its_sort_keys(name, monkeypatch):
+    # One canonical_str per element, all of them made by the sort.
+    pres = get_presentation(name)
+    calls = []
+    canonical = pres.canonical_str
+    monkeypatch.setattr(pres, "canonical_str", lambda x: calls.append(x) or canonical(x))
+    ball = pres.enumerate_ball(3)
+    assert len(calls) == len(ball)
+    monkeypatch.undo()
+    assert ball.names == tuple(pres.canonical_str(x) for x in ball)
+    assert list(zip(ball.lengths, ball.names)) == sorted(zip(ball.lengths, ball.names))
 
 
 def oracle_join_minimal_set(ball, x, y):

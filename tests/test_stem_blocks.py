@@ -115,6 +115,32 @@ class TestJoinTable:
         for sigma in by_height + [sum(by_height[:4], [])]:
             assert pres.join_table(sigma) == default_table(pres, sigma)
 
+    @pytest.mark.parametrize("radius", range(6))
+    def test_phi_ab_prefix_table(self, radius):
+        # phi-ab joins words only when one is a prefix of the other.
+        pres, ball = pres_of("sd:phi-ab"), ball_of("sd:phi-ab", radius)
+        assert pres.join_table(ball.elements) == default_table(pres, ball.elements)
+        mor = pres.morphism()
+        for q in {mor(x) for x in ball}:
+            sigma = pres.sigma_witness(q, ball)
+            assert pres.join_table(sigma) == default_table(pres, sigma)
+
+    def test_join_preservation_reads_the_ball_relation(self, capsys, monkeypatch):
+        # check_order_preserving builds the ball's relation; the comparable
+        # join table of check_join_preserving reads it instead of building it again.
+        pres = pres_of("hnn-:x,y@x,y")
+        size = len(ball_of("hnn-:x,y@x,y", 4))
+        whole = []
+        order_matrix = type(pres).order_matrix
+
+        def counted(self, xs, ys):
+            whole.append(len(xs) == len(ys) == size)
+            return order_matrix(self, xs, ys)
+
+        monkeypatch.setattr(type(pres), "order_matrix", counted)
+        assert main(["check-controlled", "hnn-:x,y@x,y", "--radius", "4", "--mode", "lambda"]) == 0
+        assert sum(whole) == 1 and len(whole) > 1
+
 
 @pytest.mark.parametrize("alone", [False, True], ids=["with-others", "alone"])
 def test_sigma_check_rejects_a_non_positive_witness(alone):
