@@ -1,11 +1,15 @@
 """Baumslag-Solitar groups <a, b : a b^c = b^d' a> with c >= 1 and d' nonzero.
 
-Elements are kept in a canonical alternating form
+BS(c, d') is the HNN extension of <b> with stable letter a, where
+a^-1 b^d' a = b^c, so it is a ``StableLetterCone`` whose base parts are the
+integer exponents of b.  Elements are kept in the canonical alternating form
 ``b^{m0} a^{e1} b^{m1} ... a^{ek} b^{mk}`` where every exponent preceding
 ``a`` lies in ``[0, |d'|)`` and every exponent preceding ``a^-1`` lies in
-``[0, c)``.  Canonicalisation is pinch elimination (no ``a b^{jc} a^-1`` or
-``a^-1 b^{jd'} a`` subword survives) followed by a left-to-right exponent
-ranging pass that pushes carries rightward through ``b^{d'} a = a b^c``.
+``[0, c)``.  Appending one a-letter is one coset step: write the last
+exponent m = r + k d' (before a) or m = r + k c (before a^-1), keep r and
+start the next part with the carry k c or k d'; when r = 0 right after the
+inverse letter, the pair pinches instead and the carry joins the part
+before it.
 
 For d' >= 1 the cone is quasi-lattice ordered and the join has the shape
 ``y b^t``; for d' <= -1 it is a weak quasi-lattice in which any two
@@ -18,9 +22,8 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from .controlled import Morphism
-from .order import IntGroup, JoinResult, Presentation, PresentationError
-from .words import parse_word
+from .hnn import StableLetterCone
+from .order import JoinResult, PresentationError
 
 # Element layout: (exps, eps) with len(exps) == len(eps) + 1.
 BsWord = tuple
@@ -44,90 +47,66 @@ class BsParams:
         return abs(self.d_signed)
 
 
-def canon_stream(params: BsParams, exps, eps) -> BsWord:
-    """Canonical form of an alternating syllable stream (not yet reduced)."""
-    c, d = params.c, params.d_signed
-    sexps = [exps[0]]
-    seps: list[int] = []
-    for t, eps_t in enumerate(eps):
-        if seps and seps[-1] == -eps_t:
-            m = sexps[-1]
-            if eps_t == -1 and m % c == 0:
-                # a b^{jc} a^-1 -> b^{j d'}
-                sexps.pop()
-                seps.pop()
-                sexps[-1] += (m // c) * d
-                sexps[-1] += exps[t + 1]
-                continue
-            if eps_t == 1 and m % d == 0:
-                # a^-1 b^{j d'} a -> b^{jc}
-                sexps.pop()
-                seps.pop()
-                sexps[-1] += (m // d) * c
-                sexps[-1] += exps[t + 1]
-                continue
-        seps.append(eps_t)
-        sexps.append(exps[t + 1])
-    # Exponent ranging: left to right, carries move rightward and never
-    # create a new pinch (they preserve residues mod c and mod |d'|).
-    for i, e in enumerate(seps):
-        m = sexps[i]
-        if e == 1:
-            s = m % abs(d)
-            sexps[i] = s
-            sexps[i + 1] += ((m - s) // d) * c
-        else:
-            s = m % c
-            sexps[i] = s
-            sexps[i + 1] += ((m - s) // c) * d
-    return (tuple(sexps), tuple(seps))
-
-
-def letters_to_stream(letters) -> tuple[list[int], list[int]]:
-    exps = [0]
-    eps: list[int] = []
-    for gen, sign in letters:
-        if gen == B:
-            exps[-1] += sign
-        elif gen == A:
-            eps.append(sign)
-            exps.append(0)
-        else:
-            raise PresentationError("alphabet is {a, b}")
-    return exps, eps
-
-
-class BaumslagSolitar(Presentation):
+class BaumslagSolitar(StableLetterCone):
     """Positive cone of <a, b : a b^c = b^{d'} a> generated by a and b."""
 
     family = "bs"
+    unit = 0
+    t_index = A
 
     def __init__(self, c: int, d_signed: int):
         self.params = BsParams(c, d_signed)
+        self.has_chain = d_signed < 0
         self.gen_names = ("a", "b")
         self.name = f"bs:{c},{d_signed}"
 
     def __repr__(self):
         return f"BaumslagSolitar(c={self.params.c}, d={self.params.d_signed})"
 
-    def identity(self) -> BsWord:
-        return ((0,), ())
+    # -- base parts: exponents of b ------------------------------------------
 
-    def canon(self, letters) -> BsWord:
-        exps, eps = letters_to_stream(letters)
-        return canon_stream(self.params, exps, eps)
+    def _part_mul(self, g: int, h: int) -> int:
+        return g + h
 
-    def mul(self, x: BsWord, y: BsWord) -> BsWord:
-        xe, xs = x
-        ye, ys = y
-        exps = list(xe[:-1]) + [xe[-1] + ye[0]] + list(ye[1:])
-        return canon_stream(self.params, exps, list(xs) + list(ys))
+    def _part_inv(self, h: int) -> int:
+        return -h
 
-    def inv(self, x: BsWord) -> BsWord:
-        xe, xs = x
-        exps = [-m for m in reversed(xe)]
-        eps = [-e for e in reversed(xs)]
-        return canon_stream(self.params, exps, eps)
+    def _part_of(self, letter) -> int:
+        if letter[0] != B:
+            raise PresentationError("alphabet is {a, b}")
+        return letter[1]
+
+    def _part_str(self, m: int) -> str:
+        return "b" if m == 1 else f"b^{m}"
+
+    def descend(self, n: int) -> int:
+        return -n
+
+    def _push_t(self, parts: list[int], eps: list[int], sign: int) -> None:
+        """Append a^sign: b^(r + k d') a = b^r a b^(kc), and b^(r + kc) a^-1 = b^r a^-1 b^(k d').
+
+        0 <= r < |d'| before a and 0 <= r < c before a^-1.  When r = 0 right
+        after a^-sign, the pair pinches (a^-1 b^(kd') a = b^(kc), a b^(kc)
+        a^-1 = b^(kd')) and the carry joins the part before it.
+        """
+        c, d = self.params.c, self.params.d_signed
+        m = parts[-1]
+        if sign == 1:
+            r = m % abs(d)
+            carry = (m - r) // d * c
+        else:
+            r = m % c
+            carry = (m - r) // c * d
+        if r == 0 and eps and eps[-1] == -sign:
+            parts.pop()
+            eps.pop()
+            parts[-1] += carry
+        else:
+            parts[-1] = r
+            parts.append(carry)
+            eps.append(sign)
+
+    canon = StableLetterCone.normal_form
 
     def is_positive(self, x: BsWord) -> bool:
         exps, eps = x
@@ -157,17 +136,7 @@ class BaumslagSolitar(Presentation):
             letters.extend([(B, 1)] * exps[i + 1])
         return tuple(letters)
 
-    def height(self, x: BsWord) -> int:
-        return sum(x[1])
-
     # -- controlled map: the height -----------------------------------------
-
-    @property
-    def has_chain(self) -> bool:
-        return self.params.d_signed < 0
-
-    def morphism(self) -> Morphism:
-        return Morphism("height", self, IntGroup(), self.height)
 
     def sigma_witness(self, q: int, ball) -> list:
         """Minimal elements of height q: the words b^s1 a ... b^sq a with 0 <= s_i < d'.
@@ -180,31 +149,8 @@ class BaumslagSolitar(Presentation):
             return []
         return [(s + (0,), (1,) * q) for s in product(range(self.params.d_signed), repeat=q)]
 
-    def lambda_witness(self, q: int, ball) -> list:
-        """For d' < 0, the chain n -> p b^-n for each prefix p = b^l1 a ... b^lq a in the fiber."""
-        if not self.has_chain:
-            return super().lambda_witness(q, ball)
-        if q == 0:
-            return [("e", lambda n: self.identity())]
-        labels = sorted({x[0][:q] for x in ball if self.height(x) == q})
-        return [(str(label), lambda n, label=label: (label + (-n,), (1,) * q)) for label in labels]
-
-    def join_table(self, xs, rel=None) -> dict:
-        """d' < 0: ``comparable_join_table``; d' > 0: ``prefix_join_table`` of the exponents before each a.
-
-        For d' > 0 this is the HNN extension of <b> with a^-1 b^d' a = b^c,
-        and those exponents are coset representatives 0 <= m < d'.  The stem
-        argument of ``HnnExtension.order_matrix`` holds word for word: the
-        pinch a^-1 b^(g-h) a needs d' | g - h, so g = h.
-        """
-        if self.params.d_signed < 0:
-            return self.comparable_join_table(xs, rel)
-        return self.prefix_join_table(xs, [x[0][:-1] for x in xs])
-
-    def _join(self, x: BsWord, y: BsWord) -> JoinResult:
-        if self.params.d_signed < 0:
-            # Elements with a common upper bound are comparable.
-            return self.comparable_join(x, y)
+    def _lattice_join(self, x: BsWord, y: BsWord) -> JoinResult:
+        """d' > 0: the least y b^t above x, where y is the higher of the two, or none."""
         if self.height(x) > self.height(y):
             x, y = y, x
         v_exps, v_eps = self.mul(self.inv(x), y)
@@ -217,21 +163,6 @@ class BaumslagSolitar(Presentation):
 
     def positive_generators(self) -> list[BsWord]:
         return [self.canon([(A, 1)]), self.canon([(B, 1)])]
-
-    def canonical_str(self, x: BsWord) -> str:
-        exps, eps = x
-        parts = []
-        if exps[0] != 0:
-            parts.append("b" if exps[0] == 1 else f"b^{exps[0]}")
-        for i, e in enumerate(eps):
-            parts.append("a" if e == 1 else "a^-1")
-            m = exps[i + 1]
-            if m != 0:
-                parts.append("b" if m == 1 else f"b^{m}")
-        return " ".join(parts) if parts else "e"
-
-    def parse(self, text: str) -> BsWord:
-        return self.canon(parse_word(text, self.gen_names))
 
     # -- demonstration of the infinite descending chain (d' < 0) ----------
 

@@ -205,11 +205,19 @@ class GraphProduct(Presentation):
         stripped = text.strip()
         if stripped == "e":
             return ()
-        if _SYLLABLE_RE.sub("", stripped).strip():
+        # One pass: the text between syllables must be blank.  Malformed text
+        # is reported before a bad vertex id, so vertices are read after it.
+        tokens, end = [], 0
+        for m in _SYLLABLE_RE.finditer(stripped):
+            if stripped[end:m.start()].strip():
+                break
+            tokens.append(m.groups())
+            end = m.end()
+        if stripped[end:].strip():
             raise PresentationError(f"malformed syllable text {text!r}; expected [vI: word] tokens")
         syllables = []
-        for m in _SYLLABLE_RE.finditer(stripped):
-            v = int(m.group(1))
+        for v_text, word in tokens:
+            v = int(v_text)
             self._check_vertex(v)
-            syllables.append((v, self.vertices[v].parse(m.group(2).strip())))
+            syllables.append((v, self.vertices[v].parse(word.strip())))
         return self.canon(syllables)

@@ -1,15 +1,21 @@
-"""HNN extensions of a free group over cyclic subgroups <u> and <w>.
+"""HNN extensions with one stable letter, and those of a free group over cyclic subgroups.
 
-The stable letter t conjugates u to w (PLUS mode, relator ``u t = t w``) or
-to w^-1 (MINUS mode, relator ``u t w = t``).  Elements are kept in the
-right normal form ``h0 t^{e1} h1 ... t^{ek} hk`` where each hi preceding
-t^{+1} is a coset representative for F/<u> and each hi preceding t^{-1}
-one for F/<w>; the representative of a coset is the result of stripping
-the maximal trailing power of the subgroup word and, when the remainder
-absorbs a prefix of it, re-anchoring on the complementary suffix.
+``StableLetterCone`` is the layer both HNN families share, this module's and
+the Baumslag-Solitar groups (the HNN extension of <b> with stable letter
+a).  Its elements are normal forms ``h0 t^{e1} h1 ... t^{ek} hk`` held as
+``(parts, eps)``; the family supplies the arithmetic of the base parts hi and
+the step that appends one t-letter, and the base builds on them normal
+forms, products and inverses one syllable at a time, the printer, heights,
+stems, the bulk join table and the decreasing chains of the weak families.
 
-Products and inverses go one syllable at a time: a base part costs one
-free-group product, a t-letter one (memoised) coset step.
+``HnnExtension`` is the HNN extension of a free group whose stable letter t
+conjugates u to w (PLUS mode, relator ``u t = t w``) or to w^-1 (MINUS mode,
+relator ``u t w = t``).  Each hi preceding t^{+1} is a coset representative
+for F/<u> and each hi preceding t^{-1} one for F/<w>; the representative of
+a coset is the result of stripping the maximal trailing power of the subgroup
+word and, when the remainder absorbs a prefix of it, re-anchoring on the
+complementary suffix.  A base part costs one free-group product, a t-letter
+one (memoised) coset step.
 
 PLUS is quasi-lattice ordered with joins in closed form: from stems and
 free monoid tails at equal heights, and from the quotient x^-1 y by
@@ -36,6 +42,7 @@ from .words import (
     format_word,
     is_positive_word,
     is_suffix,
+    parse_word,
     positive_quotients,
     word_inv,
     word_mul,
@@ -90,10 +97,122 @@ def coset_rep(u: FWord, h: FWord) -> tuple[FWord, int]:
     return h0, m
 
 
-class HnnExtension(Presentation):
+class StableLetterCone(Presentation):
+    """Elements ``(parts, eps)`` = h0 t^e1 h1 ... t^ek hk, normal by the family's ``_push_t``.
+
+    A family supplies its base parts: the product ``_part_mul``, the inverse
+    ``_part_inv``, the text ``_part_str``, the identity ``unit`` (the one
+    falsy part, printed as nothing) and the part ``_part_of`` of a base
+    letter; ``t_index``, the stable letter's index in ``gen_names``; and
+    ``_push_t(parts, eps, sign)``, which appends t^sign to a normal form and
+    keeps it normal.  ``has_chain`` is set from the sign of the relator, and
+    ``descend(n)`` is the last part of the n-th element of a decreasing
+    chain.  Cones without chains join by the family rule ``_lattice_join``.
+    """
+
+    unit: object
+    t_index: int
+
+    def identity(self) -> HnnWord:
+        return ((self.unit,), ())
+
+    def normal_form(self, letters) -> HnnWord:
+        """Left-to-right sweep: one ``_push_t`` per stable letter, one part product per base letter."""
+        parts, eps = [self.unit], []
+        t, push, mul, part_of = self.t_index, self._push_t, self._part_mul, self._part_of
+        for letter in letters:
+            if letter[0] == t:
+                push(parts, eps, letter[1])
+            else:
+                parts[-1] = mul(parts[-1], part_of(letter))
+        return tuple(parts), tuple(eps)
+
+    def _extend(self, parts: list, eps: list[int], syllables) -> HnnWord:
+        """Append t^e h for each (e, h): one ``_push_t`` and one part product each."""
+        for e, h in syllables:
+            self._push_t(parts, eps, e)
+            parts[-1] = self._part_mul(parts[-1], h)
+        return tuple(parts), tuple(eps)
+
+    def mul(self, x: HnnWord, y: HnnWord) -> HnnWord:
+        parts = list(x[0])
+        parts[-1] = self._part_mul(parts[-1], y[0][0])
+        return self._extend(parts, list(x[1]), zip(y[1], y[0][1:]))
+
+    def inv(self, x: HnnWord) -> HnnWord:
+        parts, eps = x
+        part_inv = self._part_inv
+        syllables = zip((-e for e in reversed(eps)), map(part_inv, reversed(parts[:-1])))
+        return self._extend([part_inv(parts[-1])], [], syllables)
+
+    def parse(self, text: str) -> HnnWord:
+        return self.normal_form(parse_word(text, self.gen_names))
+
+    def canonical_str(self, x: HnnWord) -> str:
+        parts, eps = x
+        part_str, t = self._part_str, self.gen_names[self.t_index]
+        tokens = [part_str(parts[0])] if parts[0] else []
+        for e, h in zip(eps, parts[1:]):
+            tokens.append(t if e == 1 else t + "^-1")
+            if h:
+                tokens.append(part_str(h))
+        return " ".join(tokens) or "e"
+
+    # -- heights, stems, joins ----------------------------------------------
+
+    def height(self, x: HnnWord) -> int:
+        return sum(x[1])
+
+    def morphism(self) -> Morphism:
+        return Morphism("height", self, IntGroup(), self.height)
+
+    def stem(self, x: HnnWord) -> HnnWord:
+        """x with its last part replaced by the identity."""
+        return x[0][:-1] + (self.unit,), x[1]
+
+    def _stems(self, q: int, ball) -> list[HnnWord]:
+        return sorted({self.stem(x) for x in ball if self.height(x) == q}, key=self.canonical_str)
+
+    def lambda_witness(self, q: int, ball) -> list:
+        """With chains: n -> stem descend(n) for each stem of the height-q fiber, labelled by the stem."""
+        if not self.has_chain:
+            return super().lambda_witness(q, ball)
+        if q == 0:
+            return [("e", lambda n: self.identity())]
+        return [
+            (self.canonical_str(stem), lambda n, stem=stem: (stem[0][:-1] + (self.descend(n),), stem[1]))
+            for stem in self._stems(q, ball)
+        ]
+
+    def join_table(self, xs: Sequence[HnnWord], rel=None) -> dict:
+        """With chains ``comparable_join_table``, otherwise ``prefix_join_table`` of the stem parts.
+
+        Without chains, x <= z makes the stem parts of x a prefix of those of
+        z.  For ``HnnExtension`` (PLUS) this is the stem argument of its
+        ``order_matrix``, by Britton's lemma: where z departs from the stem of
+        x, x^-1 z keeps a t^-1, since a pinch there would need two equal coset
+        representatives of <u>.  For Baumslag-Solitar with d' > 0, the HNN
+        extension of <b> with a^-1 b^d' a = b^c, the parts are the exponents
+        before each a, coset representatives 0 <= m < d', and the same
+        argument holds word for word: the pinch a^-1 b^(g-h) a needs
+        d' | g - h, so g = h.
+        """
+        if self.has_chain:
+            return self.comparable_join_table(xs, rel)
+        return self.prefix_join_table(xs, [x[0][:-1] for x in xs])
+
+    def _join(self, x: HnnWord, y: HnnWord) -> JoinResult:
+        """With chains, elements with a common upper bound are comparable; otherwise ``_lattice_join``."""
+        if self.has_chain:
+            return self.comparable_join(x, y)
+        return self._lattice_join(x, y)
+
+
+class HnnExtension(StableLetterCone):
     """Positive cone of the HNN extension generated by the base alphabet and t."""
 
     family = "hnn"
+    unit = EMPTY
 
     def __init__(self, base: FreeGroup, u: FWord, w: FWord, mode: int):
         if mode not in (PLUS, MINUS):
@@ -106,6 +225,7 @@ class HnnExtension(Presentation):
         self.u = u
         self.w = w
         self.mode = mode
+        self.has_chain = mode == MINUS
         self.t_index = base.n_gens  # reserved letter index in raw streams
         sign = "+" if mode == PLUS else "-"
         self.name = (
@@ -122,8 +242,20 @@ class HnnExtension(Presentation):
 
     # -- normal form -------------------------------------------------------
 
-    def identity(self) -> HnnWord:
-        return ((EMPTY,), ())
+    def _part_mul(self, g: FWord, h: FWord) -> FWord:
+        return word_mul(g, h)
+
+    def _part_inv(self, h: FWord) -> FWord:
+        return word_inv(h)
+
+    def _part_of(self, letter) -> FWord:
+        return (letter,)
+
+    def _part_str(self, h: FWord) -> str:
+        return format_word(h, self.base.gen_names)
+
+    def descend(self, n: int) -> FWord:
+        return word_pow(self.w, -n)
 
     def t(self, sign: int = 1) -> HnnWord:
         return self.normal_form([(self.t_index, sign)])
@@ -131,19 +263,8 @@ class HnnExtension(Presentation):
     def embed(self, word: FWord) -> HnnWord:
         return ((word,), ())
 
-    def normal_form(self, letters) -> HnnWord:
-        """Left-to-right sweep maintaining a residual base-group part."""
-        parts: list[FWord] = [EMPTY]
-        eps: list[int] = []
-        for letter in letters:
-            if letter[0] == self.t_index:
-                self._push_t(parts, eps, letter[1])
-            else:
-                parts[-1] = word_mul(parts[-1], (letter,))
-        return tuple(parts), tuple(eps)
-
     def _push_t(self, parts: list[FWord], eps: list[int], sign: int) -> None:
-        """Append t^sign to the normal form held in ``parts``/``eps``."""
+        """Append t^sign to the normal form held in ``parts``/``eps``: one coset step."""
         sub = self.u if sign == 1 else self.w
         other = self.w if sign == 1 else self.u
         rep, m = coset_rep(sub, parts[-1])
@@ -157,13 +278,6 @@ class HnnExtension(Presentation):
             parts.append(word_pow(other, self.mode * m))
             eps.append(sign)
 
-    def _extend(self, parts: list[FWord], eps: list[int], syllables) -> HnnWord:
-        """Append t^e h for each (e, h): one coset step per t, one word_mul per base part."""
-        for e, h in syllables:
-            self._push_t(parts, eps, e)
-            parts[-1] = word_mul(parts[-1], h)
-        return tuple(parts), tuple(eps)
-
     def _letters(self, x: HnnWord) -> list:
         parts, eps = x
         out = list(parts[0])
@@ -171,16 +285,6 @@ class HnnExtension(Presentation):
             out.append((self.t_index, e))
             out.extend(parts[i + 1])
         return out
-
-    def mul(self, x: HnnWord, y: HnnWord) -> HnnWord:
-        parts = list(x[0])
-        parts[-1] = word_mul(parts[-1], y[0][0])
-        return self._extend(parts, list(x[1]), zip(y[1], y[0][1:]))
-
-    def inv(self, x: HnnWord) -> HnnWord:
-        parts, eps = x
-        syllables = zip((-e for e in reversed(eps)), map(word_inv, reversed(parts[:-1])))
-        return self._extend([word_inv(parts[-1])], [], syllables)
 
     # -- positivity --------------------------------------------------------
 
@@ -309,31 +413,10 @@ class HnnExtension(Presentation):
                         out[r, c] = self.is_positive(self._extend([first], [], zip(y_eps[j:], y_parts[j + 1:])))
         return out
 
-    # -- heights, stems, joins ----------------------------------------------
-
-    def height(self, x: HnnWord) -> int:
-        return sum(x[1])
-
-    def stem(self, x: HnnWord) -> HnnWord:
-        parts, eps = x
-        if not eps:
-            return self.identity()
-        return parts[:-1] + (EMPTY,), eps
+    # -- tails, witnesses, joins --------------------------------------------
 
     def tail(self, x: HnnWord) -> FWord:
         return x[0][-1]
-
-    # -- controlled map: the height -----------------------------------------
-
-    @property
-    def has_chain(self) -> bool:
-        return self.mode == MINUS
-
-    def morphism(self) -> Morphism:
-        return Morphism("height", self, IntGroup(), self.height)
-
-    def _stems(self, q: int, ball) -> list[HnnWord]:
-        return sorted({self.stem(x) for x in ball if self.height(x) == q}, key=self.canonical_str)
 
     def sigma_witness(self, q: int, ball) -> list:
         """PLUS: the stems of the height-q fiber; MINUS: none above height zero."""
@@ -341,36 +424,13 @@ class HnnExtension(Presentation):
             return [self.identity()] if q == 0 else []
         return self._stems(q, ball)
 
-    def lambda_witness(self, q: int, ball) -> list:
-        """MINUS: the chain n -> stem w^-n for each stem of the height-q fiber."""
-        if not self.has_chain:
-            return super().lambda_witness(q, ball)
-        if q == 0:
-            return [("e", lambda n: self.identity())]
-        return [
-            (self.canonical_str(stem), lambda n, stem=stem: (stem[0][:-1] + (word_pow(self.w, -n),), stem[1]))
-            for stem in self._stems(q, ball)
-        ]
+    def _lattice_join(self, x: HnnWord, y: HnnWord) -> JoinResult:
+        """PLUS: least common upper bound of positive x and y, in closed form.
 
-    def join_table(self, xs: Sequence[HnnWord], rel=None) -> dict:
-        """MINUS: ``comparable_join_table``; PLUS: ``prefix_join_table`` of the stem parts.
-
-        In PLUS x <= z makes the stem of x a prefix of that of z (``order_matrix``).
-        """
-        if self.mode == MINUS:
-            return self.comparable_join_table(xs, rel)
-        return self.prefix_join_table(xs, [x[0][:-1] for x in xs])
-
-    def _join(self, x: HnnWord, y: HnnWord) -> JoinResult:
-        """Least common upper bound of positive x and y, in closed form.
-
-        MINUS: elements with a common upper bound are comparable, so the join
-        is the larger of the two or does not exist.
-
-        PLUS, equal heights: a common upper bound exists only when the stems
+        Equal heights: a common upper bound exists only when the stems
         agree and one tail is a prefix of the other; the longer tail wins.
 
-        PLUS, hx < hy: with z = x^-1 y, the common upper bounds are the y s
+        hx < hy: with z = x^-1 y, the common upper bounds are the y s
         with s and z s positive.  The join is y n when z has no t^-1, every
         part of z but the last is a positive word, and the last part L
         reduces to p n^-1 with p and n positive words; otherwise it is
@@ -401,8 +461,6 @@ class HnnExtension(Presentation):
         rule above, and y n lies below every common upper bound, those with
         t-letters included.
         """
-        if self.mode == MINUS:
-            return self.comparable_join(x, y)
         hx, hy = self.height(x), self.height(y)
         if hx > hy:
             x, y = y, x
@@ -430,19 +488,3 @@ class HnnExtension(Presentation):
         gens = [self.embed(((g, 1),)) for g in range(self.base.n_gens)]
         gens.append(self.t())
         return gens
-
-    def canonical_str(self, x: HnnWord) -> str:
-        parts, eps = x
-        tokens = []
-        if parts[0]:
-            tokens.append(format_word(parts[0], self.base.gen_names))
-        for i, e in enumerate(eps):
-            tokens.append("t" if e == 1 else "t^-1")
-            if parts[i + 1]:
-                tokens.append(format_word(parts[i + 1], self.base.gen_names))
-        return " ".join(tokens) if tokens else "e"
-
-    def parse(self, text: str) -> HnnWord:
-        from .words import parse_word
-
-        return self.normal_form(parse_word(text, self.gen_names))

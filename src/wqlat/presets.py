@@ -55,6 +55,8 @@ def _hnn(name: str) -> HnnExtension:
     names = tuple(s.strip() for s in alphabet_part.split(","))
     if any(len(n) != 1 for n in names):
         raise PresentationError("hnn preset generators must be single characters")
+    if len(set(names)) < len(names) or {"e", "t"} & set(names):
+        raise PresentationError("hnn preset alphabet must be distinct letters other than e and t")
     base = FreeGroup(len(names), names)
     u = base.parse(" ".join(u_text))
     w = base.parse(" ".join(w_text))

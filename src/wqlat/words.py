@@ -140,9 +140,11 @@ def positive_words(n_gens: int, max_len: int) -> list[FWord]:
 
 
 def default_gen_names(n: int) -> tuple[str, ...]:
-    if n > len(string.ascii_lowercase):
-        raise PresentationError(f"at most {len(string.ascii_lowercase)} named generators supported")
-    return tuple(string.ascii_lowercase[:n])
+    """The first n lowercase letters other than ``e``, the identity token."""
+    letters = string.ascii_lowercase.replace("e", "")
+    if n > len(letters):
+        raise PresentationError(f"at most {len(letters)} named generators supported")
+    return tuple(letters[:n])
 
 
 class FreeGroup(Presentation):
@@ -313,12 +315,12 @@ def parse_word(text: str, gen_names: Sequence[str]) -> list[tuple[int, int]]:
     for token in text.split():
         if token == "e":
             continue
-        name, _, exp_text = token.partition("^")
+        name, caret, exp_text = token.partition("^")
         try:
             idx = gen_names.index(name)
         except ValueError:
             raise PresentationError(f"unknown generator {name!r}") from None
-        if exp_text == "":
+        if not caret:
             exp = 1
         else:
             try:

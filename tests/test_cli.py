@@ -224,6 +224,32 @@ class TestUsageErrors:
         code, _, err = run(capsys, "nf", "free:2", "a^x")
         assert code == 64
 
+    @pytest.mark.parametrize(
+        "preset,element,token",
+        [("free:2", "a^", "a^"), ("bs:2,3", "b^ a^", "b^"), ("graph:path3", "[v0: a^]", "a^"), ("sd:phi-ab", "s^", "s^")],
+    )
+    def test_empty_exponent(self, capsys, preset, element, token):
+        code, out, err = run(capsys, "nf", preset, element)
+        assert code == 64 and out == ""
+        assert err == f"wqlat: error: malformed exponent in token {token!r}\n"
+
+    def test_free_generators_skip_the_identity_token(self, capsys):
+        code, out, _ = run(capsys, "ball", "free:5", "--radius", "1", "--json")
+        assert code == 0
+        assert json.loads(out)["findings"][0]["elements"] == ["e", "a", "b", "c", "d", "f"]
+        code, out, _ = run(capsys, "nf", "free:5", "f", "--json")
+        assert code == 0 and json.loads(out)["findings"] == [{"canonical": "f"}]
+        assert run(capsys, "nf", "free:25", "z")[0] == 0
+        code, out, err = run(capsys, "nf", "free:26", "a")
+        assert code == 64 and out == ""
+        assert err == "wqlat: error: at most 25 named generators supported\n"
+
+    @pytest.mark.parametrize("preset", ["hnn+:x,t@x,t", "hnn+:x,y@x,y,x", "hnn-:x,e@x,e"])
+    def test_hnn_alphabet_reserved_or_repeated(self, capsys, preset):
+        code, out, err = run(capsys, "ball", preset, "--radius", "1")
+        assert code == 64 and out == ""
+        assert err.startswith("wqlat: error: hnn preset alphabet") and err.count("\n") == 1
+
     def test_unknown_verb(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

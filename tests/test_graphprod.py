@@ -239,6 +239,11 @@ class TestGrammar:
         with pytest.raises(PresentationError):
             PATH3.parse("[v7: a]")
 
+    @pytest.mark.parametrize("text", ["[v7: a] junk", "[v7: a] junk [v0: a]", "[v0: a]x[v7: a]"])
+    def test_malformed_text_before_a_bad_vertex(self, text):
+        with pytest.raises(PresentationError, match="malformed syllable text"):
+            PATH3.parse(text)
+
 
 class TestJsonConfig:
     def test_custom_graph_from_file(self, tmp_path):
