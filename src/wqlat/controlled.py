@@ -47,35 +47,40 @@ def fibers(mor: Morphism, ball: Ball) -> dict:
     return out
 
 
+def _order_breaks(mor: Morphism, ball: Ball) -> tuple[list, np.ndarray]:
+    """The images of the ball, and the matrix of the pairs x <= y whose images are not ordered."""
+    images = [mor(x) for x in ball.elements]
+    return images, ball.order() & ~mor.target.order_matrix(images, images)
+
+
 def check_order_preserving(mor: Morphism, ball: Ball) -> list:
     """Pairs x <= y in the ball whose images are not ordered."""
     els = ball.elements
-    images = [mor(x) for x in els]
-    broken = ball.order() & ~mor.target.order_matrix(images, images)
-    return [(els[i], els[j]) for i, j in zip(*np.nonzero(broken))]
+    return [(els[i], els[j]) for i, j in zip(*np.nonzero(_order_breaks(mor, ball)[1]))]
 
 
 def check_join_preserving(mor: Morphism, ball: Ball) -> dict:
     """mu(x v y) = mu(x) v mu(y) over ball pairs with a finite structural join.
 
-    The source joins come from one ``join_table`` of the ball, handed the
-    ball's relation (which ``check_order_preserving`` builds), the image
+    A comparable pair x <= y joins to y, and mu(x) v mu(y) = mu(y) exactly
+    when mu(x) <= mu(y), so its failures are those of order preservation.
+    The open pairs come from one ``join_table`` of the ball, handed the
+    ball's relation (which ``check_order_preserving`` builds), their image
     joins from the target rule ``_join``; neither is guarded, as ball
     elements are positive by construction.
     """
-    failures = []
-    inconclusive = 0
     els = ball.elements
-    images = [mor(x) for x in els]
-    table = mor.source.join_table(els, ball.order())
-    for i, j in sorted(table):
-        r = table[i, j]
+    images, broken = _order_breaks(mor, ball)
+    failed = {(min(i, j), max(i, j)) for i, j in np.argwhere(broken).tolist()}
+    inconclusive = 0
+    for (i, j), r in mor.source.join_table(els, ball.order()).items():
         if r.is_inconclusive:
             inconclusive += 1
             continue
         tgt = mor.target._join(images[i], images[j])
         if not (tgt.is_finite and tgt.value == mor(r.value)):
-            failures.append((els[i], els[j]))
+            failed.add((i, j))
+    failures = [(els[i], els[j]) for i, j in sorted(failed)]
     return {"failures": failures, "inconclusive": inconclusive, "ok": not failures}
 
 

@@ -199,7 +199,7 @@ class StableLetterCone(Presentation):
         """
         if self.has_chain:
             return self.comparable_join_table(xs, rel)
-        return self.prefix_join_table(xs, [x[0][:-1] for x in xs])
+        return self.prefix_join_table(xs, [x[0][:-1] for x in xs], rel)
 
     def _join(self, x: HnnWord, y: HnnWord) -> JoinResult:
         """With chains, elements with a common upper bound are comparable; otherwise ``_lattice_join``."""

@@ -21,9 +21,11 @@ array comparisons.  ``Ball.order()`` is the hook over the ball squared;
 ``Ball.leq_row(i)`` is its single row ``elements[i] <= .``, memoised until
 the matrix exists and served from it afterwards, so a ball holds one
 relation.  The oracle reads only the rows it needs, so large balls never
-pay for the matrix.  The second hook on a ball is ``join_table(xs)``, the
-joins of all pairs that are not infinite, which the controlled-map checks
-read instead of joining pair by pair.
+pay for the matrix.  The second hook is ``join_table(xs, rel=None)``, the
+joins of all pairs i <= j that are not infinite, which the controlled-map
+checks read instead of joining pair by pair.  Given ``rel =
+order_matrix(xs, xs)`` it leaves out the pairs ``rel`` makes comparable,
+since the join of x <= y is y, and joins only the open pairs.
 The oracle is three-valued on purpose: a finite ball can certify a least
 upper bound but never the absence of one.
 
@@ -50,6 +52,10 @@ DEFAULT_RADIUS_CAP = 6
 # builds today has under 5000 elements, and the n x n relation of 8192
 # elements is 64 MB.
 BALL_ELEMENT_CAP = 8192
+# Largest |k| of a token ``name^k`` that the element grammar accepts.  A
+# token is expanded letter by letter, so this bounds what one token costs;
+# larger exponents are refused before any letter is made.
+EXPONENT_CAP = 1 << 16
 # Cell cap of one chunk of candidate pairs in ``check_weak_ql``.  A chunk
 # takes 9 bytes a cell (bounds, their float32 copy, the counts), under 300 KB,
 # so on balls of 250 elements or more it stays below the 9 n^2 bytes of the
@@ -196,17 +202,17 @@ class Presentation:
     def join_table(self, xs: Sequence[Element], rel: np.ndarray | None = None) -> dict[tuple[int, int], JoinResult]:
         """``{(i, j): _join(xs[i], xs[j])}`` over i <= j, infinite joins left out, keys in no set order.
 
-        One unguarded ``_join`` per pair of positive elements; families
-        override it where the infinite pairs can be found in bulk.  A caller
-        that holds ``order_matrix(xs, xs)`` passes it as ``rel``, so a table
-        read off the order does not build it again.
+        Given ``rel = order_matrix(xs, xs)``, the pairs it makes comparable
+        (i = j among them) are left out too: the join of x <= y is y, so only
+        the open pairs need a rule.  One unguarded ``_join`` per pair of
+        positive elements; families override it where the infinite pairs can
+        be found in bulk.
         """
         table = {}
-        for i, x in enumerate(xs):
-            for j in range(i, len(xs)):
-                r = self._join(x, xs[j])
-                if not r.is_infinite:
-                    table[i, j] = r
+        for i, j in np.argwhere(open_pairs(len(xs), rel)).tolist():
+            r = self._join(xs[i], xs[j])
+            if not r.is_infinite:
+                table[i, j] = r
         return table
 
     def comparable_join(self, x: Element, y: Element) -> JoinResult:
@@ -220,16 +226,19 @@ class Presentation:
     def comparable_join_table(
         self, xs: Sequence[Element], rel: np.ndarray | None = None
     ) -> dict[tuple[int, int], JoinResult]:
-        """``join_table`` of ``comparable_join``: finite exactly on the comparable pairs of ``order_matrix``."""
-        if rel is None:
-            rel = self.order_matrix(xs, xs)
+        """``join_table`` of ``comparable_join``: finite exactly on the comparable pairs, so empty given ``rel``."""
+        if rel is not None:
+            return {}
+        rel = self.order_matrix(xs, xs)
         return {
             (i, j): JoinResult.finite(xs[j] if rel[i, j] else xs[i])
             for i, j in np.argwhere(np.triu(rel | rel.T)).tolist()
         }
 
-    def prefix_join_table(self, xs: Sequence[Element], stems: Sequence[tuple]) -> dict[tuple[int, int], JoinResult]:
-        """``join_table`` with ``_join`` only on prefix-comparable stems.
+    def prefix_join_table(
+        self, xs: Sequence[Element], stems: Sequence[tuple], rel: np.ndarray | None = None
+    ) -> dict[tuple[int, int], JoinResult]:
+        """``join_table`` with ``_join`` only on the open pairs with prefix-comparable stems.
 
         Exact where x <= z makes the stem of x a prefix of the stem of z.
         """
@@ -237,13 +246,13 @@ class Presentation:
         for b, s in enumerate(stems):
             for k in range(len(s) + 1):
                 above.setdefault(s[:k], []).append(b)
+        is_open = open_pairs(len(xs), rel)
         table = {}
         for a, s in enumerate(stems):
             for b in above[s]:
                 if a <= b or len(stems[b]) > len(s):  # each pair once, from its shorter stem
                     i, j = min(a, b), max(a, b)
-                    r = self._join(xs[i], xs[j])
-                    if not r.is_infinite:
+                    if is_open[i, j] and not (r := self._join(xs[i], xs[j])).is_infinite:
                         table[i, j] = r
         return table
 
@@ -379,6 +388,13 @@ class Ball:
             self._order.flags.writeable = False
             self._rows.clear()
         return self._order
+
+
+def open_pairs(n: int, rel: np.ndarray | None) -> np.ndarray:
+    """Upper-triangle mask of the pairs i <= j a join table covers: all of them, or those ``rel`` leaves incomparable."""
+    if rel is None:
+        return np.triu(np.ones((n, n), dtype=bool))
+    return np.triu(~(rel | rel.T))
 
 
 def oracle_join(pres: Presentation, x: Element, y: Element, ball: Ball) -> JoinResult:

@@ -10,7 +10,7 @@ from .baumslag import BaumslagSolitar
 from .graphprod import Graph, GraphProduct
 from .hnn import MINUS, PLUS, HnnExtension
 from .order import Presentation, PresentationError
-from .words import FreeGroup, ScarparoCone
+from .words import CyclicFreeGroup, FreeGroup, ScarparoCone
 
 
 def get_presentation(name: str, within: frozenset = frozenset()) -> Presentation:
@@ -23,7 +23,8 @@ def get_presentation(name: str, within: frozenset = frozenset()) -> Presentation
     if name == "scarparo":
         return ScarparoCone()
     if name.startswith("free:"):
-        return FreeGroup(_int(name[5:], "generator count"))
+        n = _int(name[5:], "generator count")
+        return CyclicFreeGroup() if n == 1 else FreeGroup(n)
     if name.startswith("bs:"):
         c_text, _, d_text = name[3:].partition(",")
         return BaumslagSolitar(_int(c_text, "c"), _int(d_text, "d"))
@@ -73,7 +74,7 @@ _GRAPH_PRESETS = {
 def _graph(spec: str, within: frozenset) -> GraphProduct:
     if spec in _GRAPH_PRESETS:
         n, edges = _GRAPH_PRESETS[spec]
-        vertices = [FreeGroup(1) for _ in range(n)]
+        vertices = [CyclicFreeGroup() for _ in range(n)]
         return GraphProduct(Graph(n, edges), vertices, name=f"graph:{spec}")
     path = Path(spec)
     if path.suffix == ".json" and path.exists():

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .controlled import Morphism
-from .order import DirectSum, IntGroup, JoinResult, Presentation
+from .order import DirectSum, IntGroup, JoinResult, Presentation, open_pairs
 from .words import (
     EMPTY,
     FWord,
@@ -34,6 +34,8 @@ from .words import (
 SdElement = tuple  # (FWord, int)
 
 A, B = 0, 1
+# Longest chain of cached phi^(+-1) steps behind one image; see ``_chained_image``.
+IMAGE_CHAIN_DEPTH = 64
 
 
 class FreeAutomorphism:
@@ -45,22 +47,35 @@ class FreeAutomorphism:
         self.base = base
         self.images = tuple(images)
         self.inv_images = tuple(inv_images)
+        # For phi (power 1) and phi^-1 (power -1), the image of each signed letter.
+        self._pieces = {
+            power: {(g, s): image if s == 1 else word_inv(image) for g, image in enumerate(table) for s in (1, -1)}
+            for power, table in ((1, self.images), (-1, self.inv_images))
+        }
         for g in range(base.n_gens):
             gen = ((g, 1),)
             if self.apply(self.apply(gen, -1), 1) != gen or self.apply(self.apply(gen, 1), -1) != gen:
                 raise ValueError(f"inverse images do not invert the action on generator {g}")
 
-    def _substitute(self, word: FWord, table: tuple[FWord, ...]) -> FWord:
-        out: FWord = EMPTY
-        for gen, sign in word:
-            piece = table[gen] if sign == 1 else word_inv(table[gen])
-            out = word_mul(out, piece)
-        return out
+    @staticmethod
+    def _substitute(word: FWord, pieces: dict) -> FWord:
+        """The images ``pieces`` of the letters of ``word``, appended in one pass that cancels at the top of the list.
+
+        Free reduction is confluent, so this is the reduced product of the images.
+        """
+        out: list = []
+        for letter in word:
+            for piece in pieces[letter]:
+                if out and out[-1][0] == piece[0] and out[-1][1] == -piece[1]:
+                    out.pop()
+                else:
+                    out.append(piece)
+        return tuple(out)
 
     def apply(self, word: FWord, power: int) -> FWord:
-        table = self.images if power >= 0 else self.inv_images
+        pieces = self._pieces[1 if power >= 0 else -1]
         for _ in range(abs(power)):
-            word = self._substitute(word, table)
+            word = self._substitute(word, pieces)
         return word
 
 
@@ -81,10 +96,25 @@ class SemidirectProduct(Presentation):
         self.name = name or "sd:custom"
         self.metadata = metadata or {}
         # phi^k images of words, shared by every order test of this product.
-        self._image = lru_cache(maxsize=4096)(aut.apply)
+        self._image = lru_cache(maxsize=4096)(self._chained_image)
 
     def __repr__(self):
         return f"SemidirectProduct({self.name})"
+
+    def _chained_image(self, word: FWord, power: int) -> FWord:
+        """phi^k(w) as phi^(+-1) of phi^(k-+1)(w), the latter read through ``_image``.
+
+        The order matrix asks for the images phi^-q of a column at q = 0, 1,
+        2, ... in turn, so each costs one substitution.  Powers beyond
+        ``IMAGE_CHAIN_DEPTH`` (from parsed text, never from a ball) are applied
+        directly, which keeps the recursion shallow.
+        """
+        if not word or power == 0:
+            return word
+        if abs(power) > IMAGE_CHAIN_DEPTH:
+            return self.aut.apply(word, power)
+        step = 1 if power > 0 else -1
+        return self.aut.apply(self._image(word, power - step), step)
 
     def identity(self) -> SdElement:
         return (EMPTY, 0)
@@ -168,13 +198,16 @@ class LevelwiseProduct(SemidirectProduct):
     """Product whose action permutes the base cone: joins are componentwise."""
 
     def join_table(self, xs: Sequence[SdElement], rel=None) -> dict:
-        """The table of the words (one ``positive_quotients``), each join at the larger level.
+        """The words' order (one ``positive_quotients``): a pair joins when its words are comparable.
 
-        ``rel`` is not the order of the words, so it is not used.
+        The join is the larger word at the larger level.
         """
+        words = [x[0] for x in xs]
+        word_rel = self.base.order_matrix(words, words)
+        bounded = np.triu(word_rel | word_rel.T) & open_pairs(len(xs), rel)
         return {
-            (i, j): JoinResult.finite((r.value, max(xs[i][1], xs[j][1])))
-            for (i, j), r in self.base.join_table([x[0] for x in xs]).items()
+            (i, j): JoinResult.finite((words[j] if word_rel[i, j] else words[i], max(xs[i][1], xs[j][1])))
+            for i, j in np.argwhere(bounded).tolist()
         }
 
     def _join(self, x: SdElement, y: SdElement) -> JoinResult:
@@ -212,7 +245,7 @@ class PhiAbProduct(SemidirectProduct):
 
     def join_table(self, xs: Sequence[SdElement], rel=None) -> dict:
         """``prefix_join_table`` of the words: ``_join`` is infinite unless one is a prefix of the other."""
-        return self.prefix_join_table(xs, [x[0] for x in xs])
+        return self.prefix_join_table(xs, [x[0] for x in xs], rel)
 
     def word_exponents(self, v: FWord) -> list[int]:
         """Exponents [i0..ik] of b around the a-letters in a positive word."""

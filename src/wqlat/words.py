@@ -10,13 +10,14 @@ quasi-lattices.
 
 from __future__ import annotations
 
+import re
 import string
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .controlled import Morphism
-from .order import IntGroup, JoinResult, Presentation, PresentationError
+from .order import EXPONENT_CAP, IntGroup, JoinResult, Presentation, PresentationError
 
 FWord = tuple  # tuple[tuple[int, int], ...]
 
@@ -25,6 +26,13 @@ EMPTY: FWord = ()
 # Cells of the rows x columns x letters comparison in ``positive_quotients``
 # held at once: bounds its memory whatever the number of words.
 QUOTIENT_CHUNK_CELLS = 1 << 18
+
+# The exponent of a token ``name^k`` is ASCII ``-?[0-9]+``: ``+3``, ``1_000``
+# and non-ASCII digits, all of which ``int`` reads, are refused.  Exponents of
+# at most six significant digits take the first pattern, so ``int`` never
+# converts a long one; a longer digit string exceeds ``EXPONENT_CAP``.
+_SHORT_EXPONENT = re.compile(r"-?0*[0-9]{1,6}")
+_EXPONENT = re.compile(r"-?[0-9]+")
 
 
 def reduce_word(raw: Iterable[tuple[int, int]]) -> FWord:
@@ -228,6 +236,35 @@ class FreeGroup(Presentation):
                 raise PresentationError(f"letter {gen} outside alphabet of size {self.n_gens}")
 
 
+class CyclicFreeGroup(IntGroup):
+    """``free:1``: the free group on the one letter a, with a^k held as the int k.
+
+    Z with cone N is the rank-one free group with its free monoid, so the
+    printer, the grammar, the morphism "length" and the joins are those of
+    ``FreeGroup(1)`` read on exponents: two positive elements are always
+    comparable and the join is the larger one.
+    """
+
+    family = "free"
+    name = "free:1"
+    n_gens = 1
+    gen_names = ("a",)
+
+    def positive_witness(self, x: int):
+        return ((0, 1),) * x if x >= 0 else None
+
+    def morphism(self) -> Morphism:
+        return Morphism("length", self, IntGroup(), int)
+
+    join_table = Presentation.comparable_join_table
+
+    def canonical_str(self, x: int) -> str:
+        return "e" if x == 0 else "a" if x == 1 else f"a^{x}"
+
+    def parse(self, text: str) -> int:
+        return letter_sum(parse_word(text, self.gen_names))
+
+
 class ScarparoCone(Presentation):
     """The free group on a, b ordered by the cone {e} | b * F+.
 
@@ -320,13 +357,13 @@ def parse_word(text: str, gen_names: Sequence[str]) -> list[tuple[int, int]]:
             idx = gen_names.index(name)
         except ValueError:
             raise PresentationError(f"unknown generator {name!r}") from None
-        if not caret:
-            exp = 1
-        else:
-            try:
-                exp = int(exp_text)
-            except ValueError:
-                raise PresentationError(f"malformed exponent in token {token!r}") from None
+        exp = 1
+        if caret:
+            exp = int(exp_text) if _SHORT_EXPONENT.fullmatch(exp_text) else None
+            if exp is None or abs(exp) > EXPONENT_CAP:
+                if not _EXPONENT.fullmatch(exp_text):
+                    raise PresentationError(f"malformed exponent in token {token!r}")
+                raise PresentationError(f"exponent in token {token!r} exceeds {EXPONENT_CAP}")
         sign = 1 if exp >= 0 else -1
         letters.extend([(idx, sign)] * abs(exp))
     return letters

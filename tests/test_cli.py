@@ -224,6 +224,21 @@ class TestUsageErrors:
         code, _, err = run(capsys, "nf", "free:2", "a^x")
         assert code == 64
 
+    @pytest.mark.parametrize("preset", ["free:2", "free:1", "bs:2,3", "sd:nonexample"])
+    @pytest.mark.parametrize("token", ["a^+3", "a^1_000", "a^\u0663"])
+    def test_exponent_that_is_not_ascii_digits(self, capsys, preset, token):
+        code, out, err = run(capsys, "nf", preset, token)
+        assert code == 64 and out == ""
+        assert err == f"wqlat: error: malformed exponent in token {token!r}\n"
+
+    @pytest.mark.parametrize("preset,element", [("free:2", "a^99999999999999999999999"), ("free:1", "a^99999999999999999999999"),
+                                                ("graph:path3", "[v1: a^-70000]"), ("sd:perm3", "a^70000 s")])
+    def test_exponent_over_the_cap(self, capsys, preset, element):
+        code, out, err = run(capsys, "nf", preset, element)
+        assert code == 64 and out == ""
+        assert err.startswith("wqlat: error: exponent in token") and err.endswith(" exceeds 65536\n")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "preset,element,token",
         [("free:2", "a^", "a^"), ("bs:2,3", "b^ a^", "b^"), ("graph:path3", "[v0: a^]", "a^"), ("sd:phi-ab", "s^", "s^")],

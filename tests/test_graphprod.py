@@ -19,8 +19,8 @@ def vertex_support(x):
 
 
 def zgen(v, k):
-    """Syllable (v, a^k) over the integer vertex groups."""
-    return (v, ((0, 1 if k > 0 else -1),) * abs(k))
+    """Syllable (v, a^k) over the ``free:1`` vertex groups, which hold a^k as k."""
+    return (v, k)
 
 
 class TestCanonicalForm:
@@ -214,7 +214,7 @@ class TestPhi:
 
     def test_single_syllable(self):
         x = PATH3.canon([zgen(0, 1)])
-        assert PATH3.phi(x) == (zgen(0, 1)[1], (), ())
+        assert PATH3.phi(x) == (zgen(0, 1)[1], 0, 0)
 
     def test_nested_vertex_presentations(self):
         # Vertex groups may be any presentation, here a rank-2 free group.

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 
 from wqlat.graphprod import Graph, GraphProduct
 from wqlat.order import Presentation, PresentationError
-from wqlat.words import FreeGroup, reduce_word
+from wqlat.words import FreeGroup, format_word, reduce_word
 
 from conftest import pres_of
 
@@ -73,10 +73,14 @@ def raw_syllables(signs=(1, -1)):
 
 
 def realise(pres, raw):
+    """Syllables of a raw draw, each vertex word read in its vertex group's own layout."""
     n = pres.graph.n_vertices
-    return [
-        (v % n, reduce_word([(g % pres.vertices[v % n].n_gens, s) for g, s in letters])) for v, letters in raw
-    ]
+    out = []
+    for v, letters in raw:
+        vp = pres.vertices[v % n]
+        word = reduce_word([(g % vp.n_gens, s) for g, s in letters])
+        out.append((v % n, vp.parse(format_word(word, vp.gen_names))))
+    return out
 
 
 signed = raw_syllables()

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wqlat.order import JoinResult, PresentationError, oracle_join
+from wqlat.order import EXPONENT_CAP, JoinResult, PresentationError, oracle_join
 from wqlat.words import (
     EMPTY,
     FreeGroup,
     ScarparoCone,
+    parse_word,
     reduce_word,
     word_inv,
     word_mul,
@@ -44,6 +45,34 @@ class TestReduce:
     @given(letters, letters)
     def test_mul_matches_reduce_of_concat(self, r1, r2):
         assert word_mul(reduce_word(r1), reduce_word(r2)) == reduce_word(r1 + r2)
+
+
+class TestExponentGrammar:
+    """``name^k`` takes an ASCII ``-?[0-9]+`` exponent of at most ``EXPONENT_CAP``."""
+
+    @pytest.mark.parametrize("token", ["a^+3", "a^1_000", "a^\u0663", "a^3.0", "a^--1", "a^ 3"])
+    def test_only_ascii_digits(self, token):
+        with pytest.raises(PresentationError, match="malformed exponent"):
+            parse_word(token, ("a",))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["a^99999999999999999999999", f"a^{EXPONENT_CAP + 1}", f"a^-{EXPONENT_CAP + 1}", "a^" + "9" * 5000],
+        ids=["23-digits", "cap+1", "-(cap+1)", "5000-digits"],
+    )
+    def test_refused_before_it_is_expanded(self, text):
+        with pytest.raises(PresentationError, match=f"exceeds {EXPONENT_CAP}"):
+            parse_word(text, ("a",))
+
+    @pytest.mark.parametrize(
+        "text,letters",
+        [("a^003", [(0, 1)] * 3), ("a^-0", []), ("a^-2", [(0, -1)] * 2), ("a^000000000000000000000001", [(0, 1)])],
+    )
+    def test_accepted_exponents_read_as_before(self, text, letters):
+        assert parse_word(text, ("a",)) == letters
+
+    def test_the_cap_itself_is_accepted(self):
+        assert len(parse_word(f"a^-{EXPONENT_CAP}", ("a",))) == EXPONENT_CAP
 
 
 class TestGroupOps:
