@@ -19,6 +19,7 @@ elements with a common upper bound are comparable.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -65,11 +66,8 @@ class BaumslagSolitar(StableLetterCone):
 
     # -- base parts: exponents of b ------------------------------------------
 
-    def _part_mul(self, g: int, h: int) -> int:
-        return g + h
-
-    def _part_inv(self, h: int) -> int:
-        return -h
+    _part_mul = staticmethod(operator.add)
+    _part_inv = staticmethod(operator.neg)
 
     def _part_of(self, letter) -> int:
         if letter[0] != B:

@@ -2,7 +2,8 @@
 
 Every verb produces a deterministic report (table or JSON) and exits with
 0 when all checks pass, 2 on a violation candidate, 3 when the outcome is
-inconclusive, 64 on usage errors.
+inconclusive, 64 on usage errors, and 1, silently, when the reader of
+stdout has closed it.
 
 The verbs are one table.  ``build_parser`` registers each verb with
 ``verb(name, handler, help, *positionals, radius=...)``, which adds the
@@ -33,6 +34,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 
@@ -43,6 +45,7 @@ from .toeplitz import SafeRegion, check_nica, toeplitz_op
 from .words import format_word
 
 EXIT_PASS = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_VIOLATION = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_USAGE = 64
@@ -241,10 +244,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         pres = get_presentation(args.preset)
-        return emit(args, pres, *args.handler(pres, args))
+        report = args.handler(pres, args)
     except PresentationError as exc:
         print(f"wqlat: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        code = emit(args, pres, *report)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # The recipe of the Python docs (signal, "Note on SIGPIPE"): point
+        # stdout at devnull so that the flush at exit writes nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

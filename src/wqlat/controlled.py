@@ -67,7 +67,8 @@ def check_join_preserving(mor: Morphism, ball: Ball) -> dict:
     The open pairs come from one ``join_table`` of the ball, handed the
     ball's relation (which ``check_order_preserving`` builds), their image
     joins from the target rule ``_join``; neither is guarded, as ball
-    elements are positive by construction.
+    elements are positive by construction.  A pair whose source or target
+    join is inconclusive is counted as inconclusive, not as a failure.
     """
     els = ball.elements
     images, broken = _order_breaks(mor, ball)
@@ -78,7 +79,9 @@ def check_join_preserving(mor: Morphism, ball: Ball) -> dict:
             inconclusive += 1
             continue
         tgt = mor.target._join(images[i], images[j])
-        if not (tgt.is_finite and tgt.value == mor(r.value)):
+        if tgt.is_inconclusive:
+            inconclusive += 1
+        elif not (tgt.is_finite and tgt.value == mor(r.value)):
             failed.add((i, j))
     failures = [(els[i], els[j]) for i, j in sorted(failed)]
     return {"failures": failures, "inconclusive": inconclusive, "ok": not failures}

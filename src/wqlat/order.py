@@ -56,6 +56,11 @@ BALL_ELEMENT_CAP = 8192
 # token is expanded letter by letter, so this bounds what one token costs;
 # larger exponents are refused before any letter is made.
 EXPONENT_CAP = 1 << 16
+# Most letters one word may hold: a parsed element, a power and an image of
+# a free automorphism are refused before (or, for an image, as soon as) they
+# pass it.  Images on the nonexample grow about 2.6x per power of phi, so
+# ``s^14 a`` (514 229 letters) is read and ``s^15 a`` refused.
+LETTER_CAP = 1 << 20
 # Cell cap of one chunk of candidate pairs in ``check_weak_ql``.  A chunk
 # takes 9 bytes a cell (bounds, their float32 copy, the counts), under 300 KB,
 # so on balls of 250 elements or more it stays below the 9 n^2 bytes of the
@@ -84,6 +89,11 @@ def check_radius_cap(radius: int, cap: int | None) -> None:
     limit = DEFAULT_RADIUS_CAP if cap is None else cap
     if radius > limit:
         raise BallCapExceeded(f"radius {radius} exceeds cap {limit}")
+
+
+def check_letter_cap(count: int) -> None:
+    if count > LETTER_CAP:
+        raise PresentationError(f"word of {count} letters exceeds {LETTER_CAP}")
 
 
 def check_element_cap(count: int, radius: int) -> None:

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .controlled import Morphism
-from .order import DirectSum, IntGroup, JoinResult, Presentation, open_pairs
+from .order import DirectSum, IntGroup, JoinResult, Presentation, check_letter_cap, open_pairs
 from .words import (
     EMPTY,
     FWord,
@@ -73,9 +73,11 @@ class FreeAutomorphism:
         return tuple(out)
 
     def apply(self, word: FWord, power: int) -> FWord:
+        """phi^power(word), one substitution pass per power, each checked against ``LETTER_CAP``."""
         pieces = self._pieces[1 if power >= 0 else -1]
         for _ in range(abs(power)):
             word = self._substitute(word, pieces)
+            check_letter_cap(len(word))
         return word
 
 
@@ -95,11 +97,16 @@ class SemidirectProduct(Presentation):
         self.aut = aut
         self.name = name or "sd:custom"
         self.metadata = metadata or {}
-        # phi^k images of words, shared by every order test of this product.
-        self._image = lru_cache(maxsize=4096)(self._chained_image)
+        # phi^k images of nonempty words at k != 0, shared by every order test
+        # of this product.
+        self._image_cache = lru_cache(maxsize=4096)(self._chained_image)
 
     def __repr__(self):
         return f"SemidirectProduct({self.name})"
+
+    def _image(self, word: FWord, power: int) -> FWord:
+        """phi^power(word).  The empty word and power 0 are their own image and take no cache slot."""
+        return self._image_cache(word, power) if word and power else word
 
     def _chained_image(self, word: FWord, power: int) -> FWord:
         """phi^k(w) as phi^(+-1) of phi^(k-+1)(w), the latter read through ``_image``.
@@ -109,8 +116,6 @@ class SemidirectProduct(Presentation):
         ``IMAGE_CHAIN_DEPTH`` (from parsed text, never from a ball) are applied
         directly, which keeps the recursion shallow.
         """
-        if not word or power == 0:
-            return word
         if abs(power) > IMAGE_CHAIN_DEPTH:
             return self.aut.apply(word, power)
         step = 1 if power > 0 else -1

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .controlled import Morphism
-from .order import EXPONENT_CAP, IntGroup, JoinResult, Presentation, PresentationError
+from .order import EXPONENT_CAP, IntGroup, JoinResult, Presentation, PresentationError, check_letter_cap
 
 FWord = tuple  # tuple[tuple[int, int], ...]
 
@@ -65,6 +65,7 @@ def word_inv(x: FWord) -> FWord:
 def word_pow(x: FWord, n: int) -> FWord:
     if n < 0:
         return word_pow(word_inv(x), -n)
+    check_letter_cap(len(x) * n)
     out: FWord = EMPTY
     for _ in range(n):
         out = word_mul(out, x)
@@ -364,6 +365,7 @@ def parse_word(text: str, gen_names: Sequence[str]) -> list[tuple[int, int]]:
                 if not _EXPONENT.fullmatch(exp_text):
                     raise PresentationError(f"malformed exponent in token {token!r}")
                 raise PresentationError(f"exponent in token {token!r} exceeds {EXPONENT_CAP}")
+        check_letter_cap(len(letters) + abs(exp))
         sign = 1 if exp >= 0 else -1
         letters.extend([(idx, sign)] * abs(exp))
     return letters

@@ -5,7 +5,20 @@ Balls memoise their order rows, so sharing a ball shares its relation.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from wqlat.presets import get_presentation
+
+ROOT = Path(__file__).resolve().parents[1]
+# The square graph of bench/presets, read by absolute path from any directory.
+SQUARE4_FILE = "bench/presets/square4.json"
+SQUARE4 = f"graph:{ROOT / SQUARE4_FILE}"
+# The 16 presets of the README table.
+README_PRESETS = (
+    "free:2", "scarparo", "bs:1,2", "bs:2,3", "bs:2,-3", "bs:1,-1", "hnn+:x,y@x,y", "hnn-:x,y@x,y",
+    "graph:path3", "graph:noedge2", "graph:complete2", SQUARE4,
+    "sd:swap2", "sd:perm3", "sd:phi-ab", "sd:nonexample",
+)
 
 _PRES: dict = {}
 _BALLS: dict = {}
@@ -22,6 +35,11 @@ def ball_of(name: str, radius: int):
     if key not in _BALLS:
         _BALLS[key] = pres_of(name).enumerate_ball(radius, cap=radius)
     return _BALLS[key]
+
+
+def short(name):
+    """A preset name for test ids: the square graph by its file name."""
+    return "graph:square4.json" if name == SQUARE4 else name
 
 
 # Acceptance criteria report lines, printed after the run.

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import wqlat
 from wqlat.cli import main
+from wqlat.order import LETTER_CAP
 from wqlat.presets import ACCEPTANCE_PRESETS
 
 from conftest import ball_of, pres_of
@@ -211,6 +213,19 @@ class TestReports:
         assert findings == sorted(findings, key=lambda f: (f["pair"], f["upper_bounds"]))
 
 
+    def test_closed_stdout_exits_1_without_a_traceback(self):
+        # The read end is closed before the child starts, so its first write fails.
+        read, write = os.pipe()
+        os.close(read)
+        env = dict(os.environ, PYTHONPATH=str(Path(wqlat.__file__).parents[1]))
+        argv = ["join", "graph:path3", "[v0: a] [v1: a]", "[v1: a^2]", "--json"]
+        try:
+            done = subprocess.run([sys.executable, "-m", "wqlat.cli", *argv], stdout=write, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (1, b"")
+
+
 class TestUsageErrors:
     def test_unknown_preset(self, capsys):
         code, _, err = run(capsys, "nf", "nosuch:9", "e")
@@ -230,6 +245,16 @@ class TestUsageErrors:
         code, out, err = run(capsys, "nf", preset, token)
         assert code == 64 and out == ""
         assert err == f"wqlat: error: malformed exponent in token {token!r}\n"
+
+    @pytest.mark.parametrize("power", [15, 40])
+    def test_image_over_the_letter_cap(self, capsys, power):
+        # phi^k(a) on the nonexample grows about 2.6x per power; the 15th
+        # image is the first past the cap, and no later power is computed.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "nf", "sd:nonexample", f"s^{power} a", "--json")
+        assert time.perf_counter() - start < 30
+        assert code == 64 and out == ""
+        assert err == f"wqlat: error: word of 1346269 letters exceeds {LETTER_CAP}\n"
 
     @pytest.mark.parametrize("preset,element", [("free:2", "a^99999999999999999999999"), ("free:1", "a^99999999999999999999999"),
                                                 ("graph:path3", "[v1: a^-70000]"), ("sd:perm3", "a^70000 s")])

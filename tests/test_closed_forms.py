@@ -9,32 +9,19 @@
 The reference implementations these replace live here.
 """
 
-import hashlib
 import random
-from pathlib import Path
 
 import pytest
 
-from wqlat.cli import main
 from wqlat.controlled import Morphism, check_join_preserving
 from wqlat.order import IntGroup, JoinResult, Presentation
 from wqlat.semidirect import IMAGE_CHAIN_DEPTH
 from wqlat.words import CyclicFreeGroup, FreeGroup, letter_sum, word_inv, word_mul, word_pow
 
-from conftest import ball_of, pres_of
+from conftest import README_PRESETS, ball_of, pres_of, short
 
-SQUARE4 = f"graph:{Path(__file__).resolve().parents[1] / 'bench' / 'presets' / 'square4.json'}"
-README_PRESETS = (
-    "free:2", "scarparo", "bs:1,2", "bs:2,3", "bs:2,-3", "bs:1,-1", "hnn+:x,y@x,y", "hnn-:x,y@x,y",
-    "graph:path3", "graph:noedge2", "graph:complete2", SQUARE4,
-    "sd:swap2", "sd:perm3", "sd:phi-ab", "sd:nonexample",
-)
 SD_PRESETS = ("sd:swap2", "sd:perm3", "sd:phi-ab", "sd:nonexample")
 TABLE_BALLS = [(name, 3) for name in README_PRESETS] + [(name, 4) for name in SD_PRESETS + ("bs:2,3",)]
-
-
-def short(name):
-    return "graph:square4.json" if name == SQUARE4 else name
 
 
 @pytest.mark.parametrize("name,radius", TABLE_BALLS, ids=lambda v: short(v) if isinstance(v, str) else f"r{v}")
@@ -181,33 +168,3 @@ class TestCyclicFreeGroup:
         assert all(isinstance(v, CyclicFreeGroup) for v in pres_of("graph:path3").vertices)
         assert pres_of("graph:path3").parse("[v0: a^2 a^-5] [v2: a]") == ((0, -3), (2, 1))
 
-
-# argv -> (sha256 of stdout, exit code), recorded from the CLI of the commit
-# before these closed forms.  ``check-wql graph:path3 --radius 4 --json`` is
-# pinned in tests/test_order_kernel.py.
-REPORT_DIGESTS = {
-    ("check-controlled", "graph:path3", "--radius", "3", "--mode", "sigma", "--json"): (
-        "1b39415469a9c5aacec2ba579223b292097f960ae5a8808cadc6c4851405290b", 0),
-    ("check-controlled", "graph:noedge2", "--radius", "3", "--mode", "sigma", "--json"): (
-        "ec13c0242c39ddb31fb762f6810609db34f67d8210022538f002fedad1713cd2", 0),
-    ("check-controlled", "sd:perm3", "--radius", "4", "--mode", "sigma", "--json"): (
-        "e2cf46af4284827e586d539af04cd3a625ae4809b43a0e97a1e0ad556983b2e5", 0),
-    ("check-controlled", "sd:phi-ab", "--radius", "4", "--mode", "sigma", "--json"): (
-        "ef3657227dcf130c1ecfcb47b649c16acde6082e4d80aa2455f00f4fd07fed36", 0),
-    ("check-controlled", "sd:swap2", "--radius", "4", "--mode", "sigma", "--json"): (
-        "22719caa8f028a9580c3e0ae7553c0e6b018388fddedcf3b45fe0ff64ad87d52", 0),
-    ("nica-verify", "graph:path3", "--radius", "6", "--pairs", "sample:6", "--json"): (
-        "70e5d300fc8a77d7412c4feffd47f1ec993e7ab93ccbc9b1b35e8b05b46cc59d", 0),
-    ("ball", "free:1", "--radius", "5", "--json"): (
-        "074824c768477f216b34d0c1c3502c5b05e62a17a7b05b27b290f4a1f9190cdb", 0),
-    ("check-controlled", "free:1", "--json"): (
-        "5cf1f2b58a8e85c6b19f876484adb6261155c0e11d72b1471f25eb74f9f1b82d", 0),
-    ("nf", "sd:nonexample", "s^10 a", "--json"): (
-        "6d893dfb0196c73532bb17964791654d2e7f133dd3471f0e8dd589c1458ac44b", 0),
-}
-
-
-@pytest.mark.parametrize("argv", sorted(REPORT_DIGESTS), ids=" ".join)
-def test_report_digest(capsys, argv):
-    code = main(list(argv))
-    assert (hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(), code) == REPORT_DIGESTS[argv]

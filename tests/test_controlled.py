@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from wqlat.cli import main
 from wqlat.controlled import (
     check_decreasing_cover,
     check_join_preserving,
@@ -7,6 +10,7 @@ from wqlat.controlled import (
     check_sigma_axioms,
 )
 from wqlat.order import IntGroup, PresentationError
+from wqlat.presets import get_presentation
 
 from conftest import ball_of, pres_of
 
@@ -38,6 +42,17 @@ class TestBasicLaws:
         pres = pres_of(name)
         mor = pres.morphism()
         assert check_join_preserving(mor, ball_of(name, radius_for(pres)))["ok"]
+
+    def test_inconclusive_target_join_is_not_a_failure(self, tmp_path, capsys):
+        # The nonexample's vertex has no structural join, so the target joins
+        # of some open pairs are inconclusive: they count as such.
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps({"vertices": ["sd:nonexample", "free:1"], "edges": [[0, 1]]}))
+        pres = get_presentation(f"graph:{path}")
+        report = check_join_preserving(pres.morphism(), pres.enumerate_ball(2))
+        assert (len(report["failures"]), report["inconclusive"], report["ok"]) == (0, 115, True)
+        assert main(["check-controlled", f"graph:{path}", "--radius", "2", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["findings"] == []
 
     def test_hnn_plus_join_preservation_is_decided(self):
         pres = pres_of("hnn+:x,y@x,y")

@@ -6,8 +6,6 @@ identity syllables, cancellations and amalgamations across commuting
 syllables all occur.
 """
 
-from pathlib import Path
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,14 +13,13 @@ from wqlat.graphprod import Graph, GraphProduct
 from wqlat.order import Presentation, PresentationError
 from wqlat.words import FreeGroup, format_word, reduce_word
 
-from conftest import pres_of
+from conftest import SQUARE4, pres_of
 
-SQUARE4 = Path(__file__).resolve().parents[1] / "bench" / "presets" / "square4.json"
 FREE2 = GraphProduct(
     Graph(3, [(0, 1), (1, 2)]), [FreeGroup(2), FreeGroup(1), FreeGroup(2)], name="graph:free2-path3"
 )
 LAW_PRESETS = {name: pres_of(name) for name in ("graph:path3", "graph:noedge2", "graph:complete2")}
-LAW_PRESETS["graph:square4.json"] = pres_of(f"graph:{SQUARE4}")
+LAW_PRESETS["graph:square4.json"] = pres_of(SQUARE4)
 LAW_PRESETS[FREE2.name] = FREE2
 
 

@@ -1,9 +1,11 @@
+import operator
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from wqlat.hnn import MINUS, HnnExtension, coset_rep
+from wqlat.baumslag import BaumslagSolitar
+from wqlat.hnn import MINUS, POS_CACHE_SIZE, HnnExtension, coset_rep
 from wqlat.order import JoinResult, Presentation, PresentationError, oracle_join, verify_join
 from wqlat.presets import get_presentation
 from wqlat.words import EMPTY, FreeGroup, is_positive_word, positive_words, reduce_word, word_inv, word_mul, word_pow
@@ -237,6 +239,24 @@ class TestDoubleCosets:
             assert search(h) == search(h)
             info = search.cache_info()
             assert (info.maxsize, info.hits, info.misses) == (4096, 1, 1)
+
+    def test_positivity_memo_is_bounded_and_evicts_nothing_on_the_radius_6_ball(self):
+        pres = get_presentation("hnn-:x,y@x,y")
+        pres.enumerate_ball(6).order()
+        info = pres._pos_cache.cache_info()
+        assert (info.maxsize, info.misses, info.currsize) == (POS_CACHE_SIZE, 2857, 2857)
+
+    def test_positivity_misses_reach_the_class_method(self, monkeypatch):
+        pres = get_presentation("hnn-:x,y@x,y")
+        calls = []
+        inner = HnnExtension._is_positive
+        monkeypatch.setattr(HnnExtension, "_is_positive", lambda self, x: calls.append(x) or inner(self, x))
+        t = pres.t()
+        assert [pres.is_positive(t), pres.is_positive(t)] == [True, True] and calls == [t]
+
+    def test_parts_multiply_without_a_wrapper(self):
+        assert (HnnExtension._part_mul, HnnExtension._part_inv) == (word_mul, word_inv)
+        assert (BaumslagSolitar._part_mul, BaumslagSolitar._part_inv) == (operator.add, operator.neg)
 
     def test_window_is_wide_enough(self):
         # Doubling the search window never finds witnesses the trimmed

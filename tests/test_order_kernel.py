@@ -1,26 +1,24 @@
-"""The ball order relation against the generic order, and pinned scan reports.
+"""The ball order relation against the generic order, and the batched WQL scan.
 
 Each family's ``order_matrix(xs, ys)`` hook fills ``Ball.order()`` (xs = ys
 = the ball), single ball rows (one x) and rectangular blocks; these tests
 compare it with the base formula ``is_positive(mul(inv(x), y))`` called
 unbound, so a family override cannot hide behind itself.  The batched WQL
-scan is compared in the same way with a per-candidate reference scan.
+scan is compared in the same way with a per-candidate reference scan; its
+reports are pinned in ``tests/golden.txt``.
 """
 
-import hashlib
-import json
 import random
 
 import numpy as np
 import pytest
 
 from wqlat import order, words
-from wqlat.cli import main
 from wqlat.order import DirectSum, IntGroup, JoinResult, Presentation, check_weak_ql, oracle_join
 from wqlat.presets import get_presentation
 from wqlat.words import FreeGroup, is_positive_word, positive_quotients, word_inv, word_mul
 
-from conftest import ball_of, pres_of
+from conftest import README_PRESETS, ball_of, pres_of, short
 
 KERNEL_PRESETS = (
     "free:2",
@@ -179,65 +177,6 @@ def test_semidirect_leq_matches_generic_on_signed_elements(name):
         assert pres.order_matrix([x], ys)[0].tolist() == [Presentation.leq(pres, x, y) for y in ys]
 
 
-# sha256 of the stdout of ``wqlat check-wql P --radius 4 --json``, recorded
-# with the LeqTable implementation this scan replaced.
-WQL_RADIUS4_DIGESTS = {
-    "free:2": "81907469624931a5ecb3e9ce48d5d92ca0a137c7bfe5d67d4db0183e7613e7df",
-    "scarparo": "eeef7715c2c0d2b19bfd32d1350fd9df3a0f00858e5fb34f873329e1d2a4fde0",
-    "bs:1,2": "b2071d272cf20257c9d4e8e0679ddc9b2781a4734bd48bb92955677c6f3c0447",
-    "bs:2,3": "8eb46eebf92506ad5bf270c46ebf84e8cf9d89e666a78890acbedb76cd0191ac",
-    "bs:2,-3": "798e6e99f98773ca45fa00d68a2cb14dc8defe4a806da2864621250b842b8cda",
-    "bs:1,-1": "c12b12e1c103426b0a3a013d64a0cdd04c2b8d19526bfef5ea37f1ff5c02beba",
-    "hnn+:x,y@x,y": "59a3a34de0a88d6d5a499d8a23864f9b41393a4dca1a5bca9423feda9dd240e5",
-    "hnn-:x,y@x,y": "9d5f166a8b6b195ffeb78f150f244b691367488eb5669e24e735cf944634b430",
-    "graph:path3": "741d00b78da8132772d0cf42f2d65aec1fe58b44bcf3154d461d95bec8e20bf9",
-    "graph:noedge2": "fc170b43225edba19a69e4bd5dbc5dc126d705ffcbaf6c3a57f932e8da6fea3f",
-    "graph:complete2": "b259d4eb40c72622b1322e2ff2af9facd57d06adb92be6c487e91eb48234f74d",
-    "graph:square4.json": "7f2b4774428c82a753af744381eb74b85a72570a2538ae0d256dbc6f4ac7e35c",
-    "sd:swap2": "e02bf8ff295b1d72652e1a1b709f9d8f696084d2c045c9848d0e724777c451f1",
-    "sd:perm3": "05988b015b778849eb9a0791bd339d890896359adf390147a130b3e8f8d7f9ff",
-    "sd:phi-ab": "fc3f8ef0c7f8e610928b080d0db35a6c31ef1217bad106ae85225bea07d6183e",
-    "sd:nonexample": "a59476490138c81e02dcc2b06be172ba581d023600b0094a2af5a3cc71594b82",
-}
-SQUARE4 = {"vertices": ["free:1"] * 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}
-
-
-@pytest.mark.parametrize("name", sorted(WQL_RADIUS4_DIGESTS))
-def test_check_wql_report_digest(name, capsys, tmp_path):
-    preset = name
-    if name.endswith(".json"):
-        path = tmp_path / "square4.json"
-        path.write_text(json.dumps(SQUARE4))
-        preset = f"graph:{path}"
-    code = main(["check-wql", preset, "--radius", "4", "--json"])
-    out = capsys.readouterr().out
-    assert code == (2 if name == "sd:nonexample" else 0)
-    assert hashlib.sha256(out.encode()).hexdigest() == WQL_RADIUS4_DIGESTS[name]
-
-
-# argv of ``wqlat`` -> (sha256 of stdout, exit code), recorded from the CLI
-# of the commit before the batched scan and ``Ball.names``; radius 4 of the
-# nonexample is pinned above.
-REPORT_DIGESTS = {
-    ("check-wql", "sd:nonexample", "--radius", "5", "--json"): (
-        "0fc20e7b3830ca0dbd3cbf7668c7f59fb6feb41bf93f43a8857ce2ba59e7c1de", 2),
-    ("check-wql", "sd:nonexample", "--radius", "6", "--json"): (
-        "e51200e6ae468830710d115d5311d88db5b10c908602d03bc41477fb3191fc9c", 2),
-    ("check-wql", "graph:path3", "--radius", "5", "--json"): (
-        "3747fc3fbea7695716f13d68cd50954ed765d1eeb03e67fc7fde472d1eeb6d6b", 0),
-    ("ball", "hnn-:x,y@x,y", "--radius", "6", "--json"): (
-        "270a754f77b6092efa0388019a767a57196742ba17e3fdf22c11f126423e5253", 0),
-    ("op", "bs:2,-3", "b a", "--radius", "3", "--json"): (
-        "f3f63cd80827283fbf268af50d1dd459fc261830a3f599f155d3beea7f345226", 0),
-}
-
-
-@pytest.mark.parametrize("argv", sorted(REPORT_DIGESTS), ids=" ".join)
-def test_report_digest(capsys, argv):
-    code = main(list(argv))
-    assert (hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(), code) == REPORT_DIGESTS[argv]
-
-
 def _minimal(idx, rel):
     """Members of ``idx`` with no other member strictly below them.
 
@@ -320,15 +259,9 @@ def oracle_join_minimal_set(ball, x, y):
     return JoinResult.inconclusive_within(ball.radius)
 
 
-@pytest.mark.parametrize("name", sorted(WQL_RADIUS4_DIGESTS))
-def test_oracle_least_element_scan_matches_minimal_set(name, tmp_path):
-    if name.endswith(".json"):
-        path = tmp_path / "square4.json"
-        path.write_text(json.dumps(SQUARE4))
-        pres = pres_of(f"graph:{path}")
-        ball = pres.enumerate_ball(3)
-    else:
-        pres, ball = pres_of(name), ball_of(name, 3)
+@pytest.mark.parametrize("name", README_PRESETS, ids=short)
+def test_oracle_least_element_scan_matches_minimal_set(name):
+    pres, ball = pres_of(name), ball_of(name, 3)
     finite = 0
     for x in ball:
         for y in ball:

@@ -1,11 +1,10 @@
-import hashlib
 import random
 
 import pytest
 
-from wqlat.cli import main
-from wqlat.order import JoinResult, oracle_join
-from wqlat.semidirect import FreeAutomorphism
+from wqlat.order import LETTER_CAP, JoinResult, PresentationError, oracle_join
+from wqlat.presets import get_presentation
+from wqlat.semidirect import FreeAutomorphism, nonexample
 from wqlat.words import EMPTY, FreeGroup, is_positive_word, positive_words
 
 from conftest import ball_of, pres_of
@@ -160,20 +159,17 @@ class TestGrammar:
                 assert pres.parse(pres.canonical_str(x)) == x
 
 
-# (sha256 of stdout, exit code) of ``wqlat ARGS``, recorded from the CLI of
-# the commit that stacked one ``leq_row`` per element before the level-wise
-# ``order_matrix`` kernel.  The nonexample report holds 170 findings.
-REPORT_DIGESTS = {
-    "check-wql sd:nonexample --radius 5 --json": (
-        "0fc20e7b3830ca0dbd3cbf7668c7f59fb6feb41bf93f43a8857ce2ba59e7c1de", 2),
-    "check-wql sd:phi-ab --radius 5 --json": (
-        "072401d6ddb3f57d5c4f32fc660ee355b3ccf1ab23bc44289db584e047ceeb16", 0),
-    "check-controlled sd:perm3 --radius 4 --mode sigma --chain-depth 6 --json": (
-        "e2cf46af4284827e586d539af04cd3a625ae4809b43a0e97a1e0ad556983b2e5", 0),
-}
+class TestImages:
+    def test_trivial_images_take_no_cache_slot(self):
+        # s^65536 multiplies the empty word through phi^k for every k < 65536.
+        pres = get_presentation("sd:perm3")
+        assert pres.parse("s^65536 a") == (((1, 1),), 65536)
+        info = pres._image_cache.cache_info()
+        assert info.currsize <= 2 and info.misses <= 2
 
-
-@pytest.mark.parametrize("args", sorted(REPORT_DIGESTS))
-def test_report_digest(args, capsys):
-    code = main(args.split())
-    assert (hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(), code) == REPORT_DIGESTS[args]
+    def test_an_image_past_the_letter_cap_is_refused_after_its_pass(self):
+        # phi^k(a) on the nonexample has F(2k + 1) letters (Fibonacci).
+        aut = nonexample().aut
+        assert len(aut.apply(((0, 1),), 14)) == 514229 <= LETTER_CAP
+        with pytest.raises(PresentationError, match=f"word of 1346269 letters exceeds {LETTER_CAP}"):
+            aut.apply(((0, 1),), 40)

@@ -2,11 +2,10 @@
 
 ``HnnExtension.order_matrix`` and every ``join_table`` override are
 compared with the unbound ``Presentation`` defaults, so an override cannot
-hide behind itself.  The slow reports pinned below were recorded from the
-CLI of the commit before either hook existed.
+hide behind itself.  The slow reports of the commit before either hook
+existed are pinned in ``tests/golden.txt``.
 """
 
-import hashlib
 import random
 
 import numpy as np
@@ -17,27 +16,7 @@ from wqlat.controlled import check_sigma_axioms
 from wqlat.order import Presentation, PresentationError
 from wqlat.presets import get_presentation
 
-from conftest import ball_of, pres_of
-from test_join_contract import README_PRESETS, preset_arg
-
-# argv of ``wqlat`` -> (sha256 of stdout, exit code).
-SLOW_REPORT_DIGESTS = {
-    ("check-wql", "hnn-:x,y@x,y", "--radius", "5", "--json"): (
-        "9e48c38351dbc776d7b8aaf2e9e45b30532a8c462c77ca04b73c3a9961b88637", 0),
-    ("check-wql", "hnn+:x,y@x,y", "--radius", "5", "--json"): (
-        "96dcb30041b29382e5ce1d2b433fd29571c5a9e08a83ec15ed549bd5d1bdb2d0", 0),
-    ("check-controlled", "bs:2,3", "--radius", "5", "--mode", "sigma", "--json"): (
-        "38c362b56e62b48931398a07e4a661f8a4e43c4b26c5add8cd493ba039ae4172", 0),
-    ("check-controlled", "hnn-:x,y@x,y", "--radius", "4", "--mode", "lambda", "--chain-depth", "6", "--json"): (
-        "9f9efdcfbe839ca4bc3e5b9b07a4f6bd52b67b9df068c4394abe63af25cd071a", 0),
-}
-
-
-@pytest.mark.parametrize("argv", sorted(SLOW_REPORT_DIGESTS), ids=lambda a: " ".join(a[:2]) + " r" + a[3])
-def test_slow_report_digest(capsys, argv):
-    code = main(list(argv))
-    assert (hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(), code) == SLOW_REPORT_DIGESTS[argv]
-
+from conftest import README_PRESETS, ball_of, pres_of, short
 
 HNN_PRESETS = (
     "hnn+:x,y@x,y",
@@ -92,9 +71,9 @@ def default_table(pres, xs):
 
 
 class TestJoinTable:
-    @pytest.mark.parametrize("name", README_PRESETS)
-    def test_readme_presets_radius_3(self, name, tmp_path):
-        pres = get_presentation(preset_arg(name, tmp_path))
+    @pytest.mark.parametrize("name", README_PRESETS, ids=short)
+    def test_readme_presets_radius_3(self, name):
+        pres = get_presentation(name)
         els = pres.enumerate_ball(3, cap=3).elements
         table = pres.join_table(els)
         assert table == default_table(pres, els)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wqlat.order import EXPONENT_CAP, JoinResult, PresentationError, oracle_join
+from wqlat.order import EXPONENT_CAP, LETTER_CAP, JoinResult, PresentationError, oracle_join
 from wqlat.words import (
     EMPTY,
     FreeGroup,
@@ -11,6 +11,7 @@ from wqlat.words import (
     reduce_word,
     word_inv,
     word_mul,
+    word_pow,
 )
 
 from conftest import ball_of
@@ -73,6 +74,23 @@ class TestExponentGrammar:
 
     def test_the_cap_itself_is_accepted(self):
         assert len(parse_word(f"a^-{EXPONENT_CAP}", ("a",))) == EXPONENT_CAP
+
+
+class TestLetterCap:
+    """No word passes ``LETTER_CAP`` letters: parsed text and powers are refused before they are expanded."""
+
+    def test_parsed_letters_are_counted_across_tokens(self):
+        tokens = LETTER_CAP // EXPONENT_CAP
+        assert len(parse_word(" ".join([f"a^{EXPONENT_CAP}"] * tokens), ("a",))) == LETTER_CAP
+        with pytest.raises(PresentationError, match=f"word of {LETTER_CAP + 1} letters exceeds {LETTER_CAP}"):
+            parse_word(" ".join([f"a^{EXPONENT_CAP}"] * tokens + ["b"]), ("a", "b"))
+
+    def test_power_refused_before_it_is_expanded(self):
+        ab = ((0, 1), (1, 1))
+        assert word_pow(ab, -2) == ((1, -1), (0, -1)) * 2
+        for n in (LETTER_CAP // 2 + 1, -(10**30)):
+            with pytest.raises(PresentationError, match=f"exceeds {LETTER_CAP}"):
+                word_pow(ab, n)
 
 
 class TestGroupOps:
