@@ -73,8 +73,9 @@ def check(cmd: list[str]) -> int:
         got, err = run([*cmd, *argv])
         if got != expected:
             mismatches += 1
-            print(f"MISMATCH {shlex.join(argv)}: exit {got[1]}, expected {expected[1]}"
-                  f"{'' if got[0] == expected[0] else ', stdout differs'}\n{err}", end="\n")
+            stdout = "same stdout" if got[0] == expected[0] else "stdout differs"
+            print(f"MISMATCH {shlex.join(argv)}: exit {got[1]}, expected {expected[1]}, {stdout}")
+            print(err, end="")
     print(f"{len(pins) - mismatches} of {len(pins)} pins match")
     return 1 if mismatches else 0
 

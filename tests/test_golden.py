@@ -13,9 +13,8 @@ import pytest
 from wqlat.cli import main
 from wqlat.presets import ACCEPTANCE_PRESETS
 
-import golden
 from conftest import README_PRESETS, SQUARE4, SQUARE4_FILE
-from golden import CORPUS, ROOT, dump, load
+from golden import CORPUS, ROOT, check, dump, load, record
 from test_acceptance import LAMBDA_SUITE, SIGMA_SUITE
 
 PINS = load()
@@ -39,13 +38,13 @@ def test_corpus_is_sorted_and_each_argv_pinned_once():
 
 def test_check_lists_every_mismatch(capsys):
     # ``false ARGV`` prints nothing and exits 1, which no pin expects.
-    assert golden.check(["false"]) == 1
+    assert check(["false"]) == 1
     out = capsys.readouterr().out
     assert out.count("MISMATCH ") == len(PINS) and out.endswith(f"0 of {len(PINS)} pins match\n")
 
 
 def test_record_refuses_a_pinned_argv(capsys):
-    assert golden.record(str(ROOT), list(min(PINS))) == 1
+    assert record(str(ROOT), list(min(PINS))) == 1
     assert capsys.readouterr().err == f"already pinned: {shlex.join(min(PINS))}\n"
     assert CORPUS.read_text() == dump(PINS)
 
