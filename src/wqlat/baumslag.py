@@ -11,20 +11,23 @@ start the next part with the carry k c or k d'; when r = 0 right after the
 inverse letter, the pair pinches instead and the carry joins the part
 before it.
 
-For d' >= 1 the cone is quasi-lattice ordered and the join has the shape
-``y b^t``; for d' <= -1 it is a weak quasi-lattice in which any two
-elements with a common upper bound are comparable.
+A part b^k counts as |k| letters, so parts past ``LETTER_CAP`` are refused
+(on bs:2,1, b a^n = a^n b^(2^n)).  For d' >= 1 the cone is quasi-lattice
+ordered and the join has the shape ``y b^n``; for d' <= -1 it is a weak
+quasi-lattice in which any two elements with a common upper bound are
+comparable.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from .hnn import StableLetterCone
-from .order import JoinResult, PresentationError
+from .order import PresentationError, check_letter_cap
 
 # Element layout: (exps, eps) with len(exps) == len(eps) + 1.
 BsWord = tuple
@@ -77,6 +80,16 @@ class BaumslagSolitar(StableLetterCone):
     def _part_str(self, m: int) -> str:
         return "b" if m == 1 else f"b^{m}"
 
+    @staticmethod
+    def _part_letters(m: int) -> tuple:
+        return ((B, 1),) * m if m >= 0 else ((B, -1),) * -m
+
+    _part_order = staticmethod(np.less_equal.outer)
+
+    @staticmethod
+    def _deficit(m: int) -> int:
+        return max(0, -m)
+
     def descend(self, n: int) -> int:
         return -n
 
@@ -103,6 +116,7 @@ class BaumslagSolitar(StableLetterCone):
             parts[-1] = r
             parts.append(carry)
             eps.append(sign)
+        check_letter_cap(abs(parts[-1]))
 
     canon = StableLetterCone.normal_form
 
@@ -121,18 +135,13 @@ class BaumslagSolitar(StableLetterCone):
         if not self.is_positive(x):
             return None
         exps, eps = x
-        exps = list(exps)
         if eps and exps[-1] < 0:
             # Only reachable for d' < 0: lift a b^m with m < 0 through
             # a = b^d a b^c until the trailing exponent is nonnegative.
-            k = math.ceil(-exps[-1] / self.params.c)
-            exps[-2] += k * self.params.d_abs
-            exps[-1] += k * self.params.c
-        letters = [(B, 1)] * exps[0]
-        for i, _ in enumerate(eps):
-            letters.append((A, 1))
-            letters.extend([(B, 1)] * exps[i + 1])
-        return tuple(letters)
+            k = -(exps[-1] // self.params.c)
+            exps = exps[:-2] + (exps[-2] + k * self.params.d_abs, exps[-1] + k * self.params.c)
+        check_letter_cap(len(eps) + sum(map(abs, exps)))
+        return tuple(self._letters((exps, eps)))
 
     # -- controlled map: the height -----------------------------------------
 
@@ -146,18 +155,6 @@ class BaumslagSolitar(StableLetterCone):
         if self.has_chain:
             return []
         return [(s + (0,), (1,) * q) for s in product(range(self.params.d_signed), repeat=q)]
-
-    def _lattice_join(self, x: BsWord, y: BsWord) -> JoinResult:
-        """d' > 0: the least y b^t above x, where y is the higher of the two, or none."""
-        if self.height(x) > self.height(y):
-            x, y = y, x
-        v_exps, v_eps = self.mul(self.inv(x), y)
-        if any(e == -1 for e in v_eps):
-            return JoinResult.infinite()
-        # x <= y b^t iff the trailing exponent of x^-1 y b^t is >= 0, so the
-        # least t is determined by the carried final exponent alone.
-        t = max(0, -v_exps[-1])
-        return JoinResult.finite(self.mul(y, ((t,), ())))
 
     def positive_generators(self) -> list[BsWord]:
         return [self.canon([(A, 1)]), self.canon([(B, 1)])]

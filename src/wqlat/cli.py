@@ -39,7 +39,7 @@ import random
 import sys
 
 from .controlled import check_decreasing_cover, check_join_preserving, check_order_preserving, check_sigma_axioms
-from .order import DEFAULT_RADIUS_CAP, PresentationError, check_weak_ql, oracle_join
+from .order import CHAIN_DEPTH_CAP, DEFAULT_RADIUS_CAP, PresentationError, check_weak_ql, oracle_join
 from .presets import get_presentation
 from .toeplitz import SafeRegion, check_nica, toeplitz_op
 from .words import format_word
@@ -104,6 +104,8 @@ def _check_wql(pres, args):
 def _check_controlled(pres, args):
     if args.chain_depth < 0:
         raise PresentationError(f"--chain-depth must be nonnegative, got {args.chain_depth}")
+    if args.chain_depth > CHAIN_DEPTH_CAP:
+        raise PresentationError(f"--chain-depth {args.chain_depth} exceeds {CHAIN_DEPTH_CAP}")
     mor = pres.morphism()
     ball = _ball(pres, args)
     mode = args.mode or ("lambda" if pres.has_chain else "sigma")
@@ -114,7 +116,8 @@ def _check_controlled(pres, args):
     join_report = check_join_preserving(mor, ball)
     if not join_report["ok"]:
         findings.append({"join_failures": len(join_report["failures"])})
-    inconclusive = False
+    if join_report["inconclusive"]:
+        findings.append({"join_inconclusive": join_report["inconclusive"]})
     if mode == "sigma":
         axioms = check_sigma_axioms(mor, pres.sigma_witness, ball)
         if not axioms["ok"]:
@@ -126,12 +129,12 @@ def _check_controlled(pres, args):
         axioms = check_decreasing_cover(mor, pres.lambda_witness, ball, args.chain_depth)
         if axioms["increase_depth"]:
             findings.append({"uncovered": len(axioms["uncovered"]), "hint": "increase chain depth"})
-            inconclusive = True
         for key in ("chain_failures", "disjointness_failures", "separation_failures"):
             if axioms[key]:
                 findings.append({key: len(axioms[key])})
-    real_failure = any("hint" not in f for f in findings)
-    verdict = "violation" if real_failure else ("inconclusive" if inconclusive else "pass")
+    # Uncovered elements and undecided joins make a run inconclusive, never a violation.
+    failed = any(not f.keys() & {"hint", "join_inconclusive"} for f in findings)
+    verdict = "violation" if failed else ("inconclusive" if findings else "pass")
     params = {"radius": args.radius, "mode": mode, "chain_depth": args.chain_depth, "morphism": mor.name}
     return params, findings, verdict
 

@@ -6,7 +6,8 @@ a).  Its elements are normal forms ``h0 t^{e1} h1 ... t^{ek} hk`` held as
 ``(parts, eps)``; the family supplies the arithmetic of the base parts hi and
 the step that appends one t-letter, and the base builds on them normal
 forms, products and inverses one syllable at a time, the printer, heights,
-stems, the bulk join table and the decreasing chains of the weak families.
+stems, the decreasing chains of the weak families and, by Britton's lemma,
+the order by stem blocks and the closed-form joins of the others.
 
 ``HnnExtension`` is the HNN extension of a free group whose stable letter t
 conjugates u to w (PLUS mode, relator ``u t = t w``) or to w^-1 (MINUS mode,
@@ -17,10 +18,8 @@ word and, when the remainder absorbs a prefix of it, re-anchoring on the
 complementary suffix.  A base part costs one free-group product, a t-letter
 one (memoised) coset step.
 
-PLUS is quasi-lattice ordered with joins in closed form: from stems and
-free monoid tails at equal heights, and from the quotient x^-1 y by
-Britton's lemma at unequal heights.  MINUS is a weak quasi-lattice in
-which elements with a common upper bound are comparable; its positivity
+PLUS is quasi-lattice ordered.  MINUS is a weak quasi-lattice in which
+elements with a common upper bound are comparable; its positivity
 criterion runs through double cosets ``<w> h <u>`` having a
 representative in the free monoid.
 """
@@ -60,17 +59,17 @@ HnnWord = tuple
 
 
 def strip_powers(h: FWord, u: FWord) -> tuple[FWord, int]:
-    """Write reduced h as h0 * u^m with h0 not ending in a power of u."""
-    m = 0
-    uinv = word_inv(u)
-    while is_suffix(u, h):
-        h = h[: len(h) - len(u)]
+    """Write reduced h as h0 * u^m with h0 not ending in a power of u: one |u|-letter block per step."""
+    n, end, m = len(u), len(h), 0
+    while end >= n and h[end - n:end] == u:
+        end -= n
         m += 1
     if m == 0:
-        while is_suffix(uinv, h):
-            h = h[: len(h) - len(u)]
+        uinv = word_inv(u)
+        while end >= n and h[end - n:end] == uinv:
+            end -= n
             m -= 1
-    return h, m
+    return h[:end], m
 
 
 @lru_cache(maxsize=4096)
@@ -104,13 +103,18 @@ class StableLetterCone(Presentation):
     """Elements ``(parts, eps)`` = h0 t^e1 h1 ... t^ek hk, normal by the family's ``_push_t``.
 
     A family supplies its base parts: the product ``_part_mul``, the inverse
-    ``_part_inv``, the text ``_part_str``, the identity ``unit`` (the one
-    falsy part, printed as nothing) and the part ``_part_of`` of a base
-    letter; ``t_index``, the stable letter's index in ``gen_names``; and
+    ``_part_inv``, the text ``_part_str``, the letters ``_part_letters``, the
+    identity ``unit`` (the one falsy part, printed as nothing), the part
+    ``_part_of`` of a base letter, the matrix ``_part_order(us, vs)`` of
+    "u^-1 v is positive", the deficit ``_deficit(h)`` (the positive n with
+    h = p n^-1, p positive, or None) and ``_rep_positive(h)``, whether the
+    representative of h<u> is positive; ``t_index``, the stable letter's
+    index in ``gen_names``; and
     ``_push_t(parts, eps, sign)``, which appends t^sign to a normal form and
-    keeps it normal.  ``has_chain`` is set from the sign of the relator, and
-    ``descend(n)`` is the last part of the n-th element of a decreasing
-    chain.  Cones without chains join by the family rule ``_lattice_join``.
+    keeps it normal: t conjugates <u> to <w> (u t = t w, or u t w = t with
+    chains) and a part before a t represents its coset of <u>.
+    ``has_chain`` is set from the sign of the relator, and ``descend(n)`` is
+    the last part of the n-th element of a decreasing chain.
     """
 
     unit: object
@@ -129,6 +133,15 @@ class StableLetterCone(Presentation):
             else:
                 parts[-1] = mul(parts[-1], part_of(letter))
         return tuple(parts), tuple(eps)
+
+    def _letters(self, x: HnnWord) -> list:
+        """The letters of a normal form: those of its parts with the t-letters between them."""
+        parts, eps = x
+        out = list(self._part_letters(parts[0]))
+        for e, h in zip(eps, parts[1:]):
+            out.append((self.t_index, e))
+            out.extend(self._part_letters(h))
+        return out
 
     def _extend(self, parts: list, eps: list[int], syllables) -> HnnWord:
         """Append t^e h for each (e, h): one ``_push_t`` and one part product each."""
@@ -161,6 +174,66 @@ class StableLetterCone(Presentation):
                 tokens.append(part_str(h))
         return " ".join(tokens) or "e"
 
+    @staticmethod
+    def _rep_positive(h) -> bool:
+        return True
+
+    def order_matrix(self, xs: Sequence[HnnWord], ys: Sequence[HnnWord]) -> np.ndarray:
+        """x <= y by stem blocks: a row without t^-1 tests only the columns that extend its stem.
+
+        Let x = h0 t h1 ... t hj be a normal form with no t^-1.  Then x <= y
+        exactly when y = h0 t ... h(j-1) t r (the stem of x, then r) and
+        hj^-1 r is positive: for a base part r that is ``_part_order``;
+        otherwise y must have no t^-1, and for r = g t ... the representative
+        of hj^-1 g modulo <u> positive (``_rep_positive``), before r is
+        multiplied out.
+
+        Proof (Britton's lemma, Lyndon and Schupp, ch. IV.2).  If y has that
+        shape, x^-1 y = hj^-1 r.  Otherwise let i <= j be the first syllable
+        where y departs: it has fewer than i t-letters, or its i-th is t^-1,
+        or the part g before it is not h(i-1).  In x^-1 y the matched
+        syllables cancel by pinches t^-1 (h^-1 h) t = e, leaving the junction
+        t^-1 h(i-1)^-1 g t^e.  A pinch there needs e = 1 and h(i-1)^-1 g in
+        <u>; then h(i-1) and g both precede a t, so both represent their
+        cosets of <u> and are equal.  So the word is reduced and keeps a
+        t^-1, and so does the normal form of x^-1 y: it is not positive.
+        Likewise hj^-1 r is reduced with the t-letters of r, and when these
+        are all t nothing pinches back into its first part, the
+        representative of hj^-1 g, which a positive normal form has positive.
+        For Baumslag-Solitar <u> = <b^d'>, and the representatives before an
+        a lie in [0, |d'|) for either sign of d': the argument holds as it
+        stands.  Rows with a t^-1 keep the default row.
+        """
+        # Columns without t^-1 by the parts h0..h(i-1) of a leading
+        # h0 t ... h(i-1) t: in ``level`` when only a base part follows.
+        level: dict[tuple, list[int]] = {}
+        above: dict[tuple, list[int]] = {}
+        for c, (parts, eps) in enumerate(ys):
+            if -1 not in eps:
+                level.setdefault(parts[:-1], []).append(c)
+                for i in range(len(eps)):
+                    above.setdefault(parts[:i], []).append(c)
+        stems: dict[tuple, list[int]] = {}
+        signed = []
+        for r, (parts, eps) in enumerate(xs):
+            (signed if -1 in eps else stems.setdefault(parts[:-1], [])).append(r)
+        out = np.zeros((len(xs), len(ys)), dtype=bool)
+        out[signed] = super().order_matrix([xs[r] for r in signed], ys)
+        part_mul, rep_positive = self._part_mul, self._rep_positive
+        for stem, rows in stems.items():
+            j, tails = len(stem), [xs[r][0][-1] for r in rows]
+            if stem in level:  # r is a base part
+                cols = level[stem]
+                out[np.ix_(rows, cols)] = self._part_order(tails, [ys[c][0][j] for c in cols])
+            for r, tail in zip(rows, tails):
+                tail_inv = self._part_inv(tail)
+                for c in above.get(stem, ()):
+                    y_parts, y_eps = ys[c]
+                    first = part_mul(tail_inv, y_parts[j])
+                    if rep_positive(first):
+                        out[r, c] = self.is_positive(self._extend([first], [], zip(y_eps[j:], y_parts[j + 1:])))
+        return out
+
     # -- heights, stems, joins ----------------------------------------------
 
     def height(self, x: HnnWord) -> int:
@@ -191,24 +264,61 @@ class StableLetterCone(Presentation):
         """With chains ``comparable_join_table``, otherwise ``prefix_join_table`` of the stem parts.
 
         Without chains, x <= z makes the stem parts of x a prefix of those of
-        z.  For ``HnnExtension`` (PLUS) this is the stem argument of its
-        ``order_matrix``, by Britton's lemma: where z departs from the stem of
-        x, x^-1 z keeps a t^-1, since a pinch there would need two equal coset
-        representatives of <u>.  For Baumslag-Solitar with d' > 0, the HNN
-        extension of <b> with a^-1 b^d' a = b^c, the parts are the exponents
-        before each a, coset representatives 0 <= m < d', and the same
-        argument holds word for word: the pinch a^-1 b^(g-h) a needs
-        d' | g - h, so g = h.
+        z: that is the stem argument of ``order_matrix``.
         """
         if self.has_chain:
             return self.comparable_join_table(xs, rel)
         return self.prefix_join_table(xs, [x[0][:-1] for x in xs], rel)
 
     def _join(self, x: HnnWord, y: HnnWord) -> JoinResult:
-        """With chains, elements with a common upper bound are comparable; otherwise ``_lattice_join``."""
+        """With chains, the larger of two comparable elements; otherwise the least upper bound in closed form.
+
+        Without chains let hx <= hy and z = x^-1 y.  The join is y n when the
+        stem of z is positive and its last part L has a deficit n (L = p n^-1
+        with p and n positive); otherwise it is infinite.  At equal heights
+        the stems must agree (a common upper bound extends both, by the stem
+        argument of ``order_matrix``), and then z is the tails' quotient.
+
+        Proof.  A normal form without chains is positive iff it has no t^-1
+        and every part is positive.  The common upper bounds are the y s
+        with s and z s positive.  By Britton's lemma the t-exponents of a
+        normal form are those of any word for it with the pinched t^-1 t and
+        t t^-1 pairs cancelled (Lyndon and Schupp, ch. IV.2), so the t^-1
+        of x^-1 come before the t of y in z, and if hz > 0 the last t-letter
+        of z is t.  No positive letter appended to z can pinch, so appending
+        s changes only the last part of z.  Hence z s is positive only if the
+        stem of z is (no t^-1, positive parts before L), and then:
+
+        (a) s is a positive base part.  z s is positive iff L s is; the
+            deficit is the least such s: for words L s cancels a suffix of L
+            into a prefix of s, so L = p n^-1 and s = n s'; for exponents
+            L + s >= 0 iff s = n + s' with n = max(0, -L).  Either way
+            s' is positive and the least such y s is y n.
+        (b) s = s0 t s1 with s0 a positive base part and s1 positive.  With
+            L s0 = rep u^m, z s has the parts of z before L, then rep, then
+            those of w^m s1, so rep is positive and w^m s1 is positive.  For
+            k = max(0, -m), s' = s0 u^k is of kind (a): L s' = rep u^(m+k)
+            is positive.  And y s' <= y s, since s'^-1 s = u^-k t s1 =
+            t w^-k s1 is positive (k = 0, or -k = m).
+
+        So a common upper bound exists iff one of kind (a) does, which is the
+        rule above, and y n lies below every common upper bound, those with
+        t-letters included.
+        """
         if self.has_chain:
             return self.comparable_join(x, y)
-        return self._lattice_join(x, y)
+        if self.height(x) > self.height(y):
+            x, y = y, x
+        if self.height(x) == self.height(y):
+            if self.stem(x) != self.stem(y):
+                return JoinResult.infinite()
+            z = (self._part_mul(self._part_inv(x[0][-1]), y[0][-1]),), ()
+        else:
+            z = self.mul(self.inv(x), y)
+        n = self._deficit(z[0][-1])
+        if n is None or not self.is_positive(self.stem(z)):
+            return JoinResult.infinite()
+        return JoinResult.finite((y[0][:-1] + (self._part_mul(y[0][-1], n),), y[1]))
 
 
 class HnnExtension(StableLetterCone):
@@ -245,16 +355,28 @@ class HnnExtension(StableLetterCone):
     def __repr__(self):
         return f"HnnExtension({self.name})"
 
-    # -- normal form -------------------------------------------------------
+    # -- base parts: reduced words ----------------------------------------
 
     _part_mul = staticmethod(word_mul)
     _part_inv = staticmethod(word_inv)
+    _part_order = staticmethod(positive_quotients)
 
     def _part_of(self, letter) -> FWord:
         return (letter,)
 
     def _part_str(self, h: FWord) -> str:
         return format_word(h, self.base.gen_names)
+
+    _part_letters = staticmethod(tuple)
+    def _rep_positive(self, h: FWord) -> bool:
+        return is_positive_word(coset_rep(self.u, h)[0])
+
+    @staticmethod
+    def _deficit(h: FWord) -> FWord | None:
+        """The inverted negative tail n of h, when n is positive (h = p n^-1)."""
+        k = next((i for i, (_, sign) in enumerate(h) if sign == -1), len(h))
+        n = word_inv(h[k:])
+        return n if is_positive_word(n) else None
 
     def descend(self, n: int) -> FWord:
         return word_pow(self.w, -n)
@@ -279,14 +401,6 @@ class HnnExtension(StableLetterCone):
             parts[-1] = rep
             parts.append(word_pow(other, self.mode * m))
             eps.append(sign)
-
-    def _letters(self, x: HnnWord) -> list:
-        parts, eps = x
-        out = list(parts[0])
-        for i, e in enumerate(eps):
-            out.append((self.t_index, e))
-            out.extend(parts[i + 1])
-        return out
 
     # -- positivity --------------------------------------------------------
 
@@ -359,126 +473,13 @@ class HnnExtension(StableLetterCone):
             return ((self.t_index, 1),) + tuple(word_pow(self.w, m))
         return tuple(word_pow(self.u, -m)) + ((self.t_index, 1),)
 
-    def order_matrix(self, xs: Sequence[HnnWord], ys: Sequence[HnnWord]) -> np.ndarray:
-        """x <= y by stem blocks: a row without t^-1 tests only the columns that extend its stem.
-
-        Let x = h0 t h1 ... t hj be a normal form with no t^-1.  Then x <= y
-        exactly when y = h0 t ... h(j-1) t r (the stem of x, then r) and
-        hj^-1 r is positive: for a base word r that is ``positive_quotients``;
-        otherwise y must have no t^-1, and for r = g t ... the representative
-        of hj^-1 g modulo <u> a positive word, before r is multiplied out.
-
-        Proof (Britton's lemma, Lyndon and Schupp, ch. IV.2).  If y has that
-        shape, x^-1 y = hj^-1 r.  Otherwise let i <= j be the first syllable
-        where y departs: it has fewer than i t-letters, or its i-th is t^-1,
-        or the part g before it is not h(i-1).  In x^-1 y the matched
-        syllables cancel by pinches t^-1 (h^-1 h) t = e, leaving the junction
-        t^-1 h(i-1)^-1 g t^e.  A pinch there needs e = 1 and h(i-1)^-1 g in
-        <u>; then h(i-1) and g both precede a t, so both represent their
-        cosets of <u> and are equal.  So the word is reduced and keeps a
-        t^-1, and so does the normal form of x^-1 y: it is not positive.
-        Likewise hj^-1 r is reduced with the t-letters of r, and when these
-        are all t nothing pinches back into its first part, the
-        representative of hj^-1 g, which a positive normal form has positive.
-        Rows with a t^-1 keep the default row.
-        """
-        # Columns without t^-1 by the parts h0..h(i-1) of a leading
-        # h0 t ... h(i-1) t: in ``level`` when only a base part follows.
-        level: dict[tuple, list[int]] = {}
-        above: dict[tuple, list[int]] = {}
-        for c, (parts, eps) in enumerate(ys):
-            if -1 not in eps:
-                level.setdefault(parts[:-1], []).append(c)
-                for i in range(len(eps)):
-                    above.setdefault(parts[:i], []).append(c)
-        stems: dict[tuple, list[int]] = {}
-        signed = []
-        for r, (parts, eps) in enumerate(xs):
-            (signed if -1 in eps else stems.setdefault(parts[:-1], [])).append(r)
-        out = np.zeros((len(xs), len(ys)), dtype=bool)
-        out[signed] = super().order_matrix([xs[r] for r in signed], ys)
-        for stem, rows in stems.items():
-            j, tails = len(stem), [xs[r][0][-1] for r in rows]
-            if stem in level:  # r is a base word
-                cols = level[stem]
-                out[np.ix_(rows, cols)] = positive_quotients(tails, [ys[c][0][j] for c in cols])
-            for r, tail in zip(rows, tails):
-                tail_inv = word_inv(tail)
-                for c in above.get(stem, ()):
-                    y_parts, y_eps = ys[c]
-                    first = word_mul(tail_inv, y_parts[j])
-                    if is_positive_word(coset_rep(self.u, first)[0]):
-                        out[r, c] = self.is_positive(self._extend([first], [], zip(y_eps[j:], y_parts[j + 1:])))
-        return out
-
-    # -- tails, witnesses, joins --------------------------------------------
-
-    def tail(self, x: HnnWord) -> FWord:
-        return x[0][-1]
+    # -- witnesses ----------------------------------------------------------
 
     def sigma_witness(self, q: int, ball) -> list:
         """PLUS: the stems of the height-q fiber; MINUS: none above height zero."""
         if self.has_chain:
             return [self.identity()] if q == 0 else []
         return self._stems(q, ball)
-
-    def _lattice_join(self, x: HnnWord, y: HnnWord) -> JoinResult:
-        """PLUS: least common upper bound of positive x and y, in closed form.
-
-        Equal heights: a common upper bound exists only when the stems
-        agree and one tail is a prefix of the other; the longer tail wins.
-
-        hx < hy: with z = x^-1 y, the common upper bounds are the y s
-        with s and z s positive.  The join is y n when z has no t^-1, every
-        part of z but the last is a positive word, and the last part L
-        reduces to p n^-1 with p and n positive words; otherwise it is
-        infinite.
-
-        Proof.  A PLUS normal form is positive iff it has no t^-1 and every
-        part is a positive word.  By Britton's lemma the t-exponents of a
-        normal form are those of any word for it with the pinched t^-1 t and
-        t t^-1 pairs cancelled (Lyndon and Schupp, ch. IV.2), so the t^-1
-        of x^-1 come before the t of y in z, and as hz > 0 the last t-letter
-        of z is t.  No positive letter appended to z can pinch, so appending
-        s changes only the last part of z.  Hence z s is positive only if z
-        has no t^-1 and positive parts before L, and then:
-
-        (a) s is a positive base word.  z s is positive iff L s is a
-            positive word.  L s cancels a suffix of L into a prefix of s, so
-            this holds iff L = p n^-1 and s = n s' with s' positive; the
-            least such y s is y n.
-        (b) s = s0 t s1 with s0 a positive base word and s1 positive.  With
-            L s0 = rep u^m (``coset_rep``), z s has the parts of z before L,
-            then rep, then those of w^m s1, so rep is a positive word and
-            w^m s1 is positive.  For k = max(0, -m), s' = s0 u^k is of kind
-            (a): L s' = rep u^(m+k) is a positive word.  And y s' <= y s,
-            since s'^-1 s = u^-k t s1 = t w^-k s1 is positive (k = 0, or
-            -k = m).
-
-        So a common upper bound exists iff one of kind (a) does, which is the
-        rule above, and y n lies below every common upper bound, those with
-        t-letters included.
-        """
-        hx, hy = self.height(x), self.height(y)
-        if hx > hy:
-            x, y = y, x
-            hx, hy = hy, hx
-        if hx == hy:
-            if self.stem(x) != self.stem(y):
-                return JoinResult.infinite()
-            p, q = self.tail(x), self.tail(y)
-            if len(p) > len(q):
-                p, q = q, p
-            if q[: len(p)] != p:
-                return JoinResult.infinite()
-            return JoinResult.finite((x[0][:-1] + (q,), x[1]))
-        z_parts, z_eps = self.mul(self.inv(x), y)
-        last = z_parts[-1]
-        k = next((i for i, (_, sign) in enumerate(last) if sign == -1), len(last))
-        n = word_inv(last[k:])
-        if -1 in z_eps or not all(map(is_positive_word, z_parts[:-1] + (n,))):
-            return JoinResult.infinite()
-        return JoinResult.finite((y[0][:-1] + (word_mul(self.tail(y), n),), y[1]))
 
     # -- presentation plumbing ----------------------------------------------
 

@@ -61,6 +61,10 @@ EXPONENT_CAP = 1 << 16
 # pass it.  Images on the nonexample grow about 2.6x per power of phi, so
 # ``s^14 a`` (514 229 letters) is read and ``s^15 a`` refused.
 LETTER_CAP = 1 << 20
+# Largest ``--chain-depth`` of the decreasing-chain check, whose cost grows
+# with depth^2 times the fiber size: depth 1000 on the radius-2 ball of
+# hnn-:x,y@x,y takes about 1.5 s on 2 cores.
+CHAIN_DEPTH_CAP = 1 << 10
 # Cell cap of one chunk of candidate pairs in ``check_weak_ql``.  A chunk
 # takes 9 bytes a cell (bounds, their float32 copy, the counts), under 300 KB,
 # so on balls of 250 elements or more it stays below the 9 n^2 bytes of the

@@ -63,13 +63,16 @@ def word_inv(x: FWord) -> FWord:
 
 
 def word_pow(x: FWord, n: int) -> FWord:
+    """x^n in one pass: with x = a c a^-1 and c cyclically reduced, x^n = a c^n a^-1, reduced as written."""
     if n < 0:
-        return word_pow(word_inv(x), -n)
+        x, n = word_inv(x), -n
     check_letter_cap(len(x) * n)
-    out: FWord = EMPTY
-    for _ in range(n):
-        out = word_mul(out, x)
-    return out
+    if n == 0:
+        return EMPTY
+    k = 0
+    while 2 * k + 1 < len(x) and x[k][0] == x[-1 - k][0] and x[k][1] == -x[-1 - k][1]:
+        k += 1
+    return x[:k] + x[k:len(x) - k] * n + x[len(x) - k:]
 
 
 def letter_sum(x: FWord) -> int:

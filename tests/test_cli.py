@@ -321,6 +321,11 @@ class TestUsageErrors:
             ("nica-verify", "free:2", "--radius", "3", "--safe-radius", "-1"),
             ("check-controlled", "bs:2,-3", "--radius", "3", "--chain-depth", "-1"),
             ("check-controlled", "free:2", "--radius", "3", "--mode", "sigma", "--chain-depth", "-1"),
+            ("check-controlled", "hnn-:x,y@x,y", "--radius", "2", "--chain-depth", "1025"),
+            ("nf", "hnn+:x,xx@x,y", "x t^21"),
+            ("nf", "bs:2,1", "b a^21"),
+            ("nf", "bs:1,2", "b a^-15000"),
+            ("pos", "bs:2,1", "b a^30"),
             ("demo-chain", "free:2"),
             ("nf", "bs:2,0", "a"),
         ],

@@ -45,14 +45,16 @@ class TestBasicLaws:
 
     def test_inconclusive_target_join_is_not_a_failure(self, tmp_path, capsys):
         # The nonexample's vertex has no structural join, so the target joins
-        # of some open pairs are inconclusive: they count as such.
+        # of some open pairs are inconclusive: they count as such, and the
+        # report counts them and is inconclusive.
         path = tmp_path / "mixed.json"
         path.write_text(json.dumps({"vertices": ["sd:nonexample", "free:1"], "edges": [[0, 1]]}))
         pres = get_presentation(f"graph:{path}")
         report = check_join_preserving(pres.morphism(), pres.enumerate_ball(2))
         assert (len(report["failures"]), report["inconclusive"], report["ok"]) == (0, 115, True)
-        assert main(["check-controlled", f"graph:{path}", "--radius", "2", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["findings"] == []
+        assert main(["check-controlled", f"graph:{path}", "--radius", "2", "--json"]) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert (out["findings"], out["verdict"]) == ([{"join_inconclusive": 115}], "inconclusive")
 
     def test_hnn_plus_join_preservation_is_decided(self):
         pres = pres_of("hnn+:x,y@x,y")

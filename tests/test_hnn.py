@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wqlat.baumslag import BaumslagSolitar
-from wqlat.hnn import MINUS, POS_CACHE_SIZE, HnnExtension, coset_rep
+from wqlat.hnn import MINUS, POS_CACHE_SIZE, HnnExtension, coset_rep, strip_powers
 from wqlat.order import JoinResult, Presentation, PresentationError, oracle_join, verify_join
 from wqlat.presets import get_presentation
 from wqlat.words import EMPTY, FreeGroup, is_positive_word, positive_words, reduce_word, word_inv, word_mul, word_pow
@@ -48,6 +48,28 @@ def random_free_word(rng, max_len=8, n_gens=2):
     return reduce_word(
         [(rng.randrange(n_gens), rng.choice((1, -1))) for _ in range(rng.randrange(max_len + 1))]
     )
+
+
+def reference_strip_powers(h, u):
+    """``strip_powers`` as it was before the fixed-offset blocks: the whole word re-sliced per step."""
+    m = 0
+    uinv = word_inv(u)
+    while len(u) <= len(h) and h[len(h) - len(u):] == u:
+        h = h[: len(h) - len(u)]
+        m += 1
+    if m == 0:
+        while len(u) <= len(h) and h[len(h) - len(u):] == uinv:
+            h = h[: len(h) - len(u)]
+            m -= 1
+    return h, m
+
+
+@pytest.mark.parametrize("u_text", ["x", "x y", "x x", "x y x", "y x^-1"])
+def test_strip_powers_matches_the_slicing_loop(u_text):
+    u, rng = F.parse(u_text), random.Random(u_text)
+    for _ in range(1500):
+        h = word_mul(random_free_word(rng), word_pow(u, rng.randrange(-5, 6)))
+        assert strip_powers(h, u) == reference_strip_powers(h, u)
 
 
 class TestCosetMachinery:

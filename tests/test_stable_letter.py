@@ -103,8 +103,8 @@ def test_push_matches_reference_stream(c, d):
         assert pres.inv(x) == reference_inv(params, x)
 
 
-SHARED = ("normal_form", "_extend", "mul", "inv", "canonical_str", "height", "morphism", "stem",
-          "join_table", "_join", "lambda_witness")
+SHARED = ("normal_form", "_letters", "_extend", "mul", "inv", "canonical_str", "order_matrix", "height",
+          "morphism", "stem", "join_table", "_join", "lambda_witness")
 
 
 @pytest.mark.parametrize("name", SHARED)
@@ -144,6 +144,12 @@ class TestStableLetterLaws:
         pres = pres_of(name)
         x = element(pres, letters)
         assert pres.parse(pres.canonical_str(x)) == x
+
+    @given(signed)
+    def test_letters_multiply_back(self, name, letters):
+        pres = pres_of(name)
+        x = element(pres, letters)
+        assert pres.normal_form(pres._letters(x)) == x
 
     @given(signed)
     def test_cone_meets_its_inverse_in_the_identity(self, name, letters):

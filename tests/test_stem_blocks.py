@@ -1,9 +1,10 @@
-"""Stem blocks: the HNN order matrix and the per-ball join table.
+"""Stem blocks: the stable-letter order matrix and the per-ball join table.
 
-``HnnExtension.order_matrix`` and every ``join_table`` override are
-compared with the unbound ``Presentation`` defaults, so an override cannot
-hide behind itself.  The slow reports of the commit before either hook
-existed are pinned in ``tests/golden.txt``.
+``StableLetterCone.order_matrix``, on HNN extensions and Baumslag-Solitar
+groups of both signs, and every ``join_table`` override are compared with
+the unbound ``Presentation`` defaults, so an override cannot hide behind
+itself.  The slow reports of the commit before either hook existed are
+pinned in ``tests/golden.txt``.
 """
 
 import random
@@ -18,6 +19,7 @@ from wqlat.presets import get_presentation
 
 from conftest import README_PRESETS, ball_of, pres_of, short
 
+# Both HNN families: Baumslag-Solitar groups are the HNN extensions of <b>.
 HNN_PRESETS = (
     "hnn+:x,y@x,y",
     "hnn-:x,y@x,y",
@@ -26,6 +28,15 @@ HNN_PRESETS = (
     "hnn-:xy,x@x,y",
     "hnn+:x,yx@x,y",
     "hnn-:xy,yx@x,y",
+    "bs:1,2",
+    "bs:2,3",
+    "bs:3,2",
+    "bs:2,1",
+    "bs:1,1",
+    "bs:2,-3",
+    "bs:3,-2",
+    "bs:1,-1",
+    "bs:2,-1",
 )
 
 
@@ -34,12 +45,20 @@ def default_order(pres, xs, ys):
 
 
 def signed_elements(pres, count, seed):
-    """Products of random signed letters of x, y and t, at least one of each kind the stem rule sorts."""
+    """Products of random signed letters, at least one of each kind the stem rule sorts.
+
+    The stable letter is ``t`` (``a`` for Baumslag-Solitar), the base letters
+    ``x`` and ``y`` (both ``b``).
+    """
     rng = random.Random(seed)
     letters = [(g, s) for g in range(len(pres.gen_names)) for s in (1, -1)]
     out = [pres.normal_form([rng.choice(letters) for _ in range(rng.randrange(1, 9))]) for _ in range(count)]
+    t = pres.gen_names[pres.t_index]
+    base = [name for name in pres.gen_names if name != t]
+    names = {"t": t, "x": base[0], "y": base[-1]}
     # Only t-letters t, one with a negative base part; one with a t^-1.
-    out += [pres.parse("x^-1 t y^-1"), pres.parse("t x t^-1 y"), pres.parse("y^-2 t x^-1 t")]
+    for text in ("x^-1 t y^-1", "t x t^-1 y", "y^-2 t x^-1 t"):
+        out.append(pres.parse(" ".join(names[token[0]] + token[1:] for token in text.split())))
     return out
 
 
@@ -56,7 +75,8 @@ class TestHnnOrderMatrix:
         signed = signed_elements(pres, 60, name)
         has_t_inv = [x for x in signed if -1 in x[1]]
         negative_base = [x for x in signed if -1 not in x[1] and not pres.is_positive(x)]
-        assert has_t_inv and negative_base
+        # Without a^-1 every element of BS with d' < 0 is positive.
+        assert has_t_inv and (negative_base or pres.name.startswith("bs:") and pres.has_chain)
         xs, ys = signed[:30] + ball[::3], ball[1::2] + signed[30:]
         assert np.array_equal(pres.order_matrix(xs, ys), default_order(pres, xs, ys))
         assert np.array_equal(pres.order_matrix(signed, signed), default_order(pres, signed, signed))

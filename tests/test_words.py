@@ -93,6 +93,29 @@ class TestLetterCap:
                 word_pow(ab, n)
 
 
+def reference_pow(x, n):
+    """x^n as it was computed before the one-pass power: n products onto a growing prefix."""
+    if n < 0:
+        return reference_pow(word_inv(x), -n)
+    out = EMPTY
+    for _ in range(n):
+        out = word_mul(out, x)
+    return out
+
+
+def test_power_matches_the_product_loop():
+    # Words that are conjugates a c a^-1 of every depth, c of every length.
+    import random
+
+    rng = random.Random(5)
+    for _ in range(4000):
+        x = reduce_word([(rng.randrange(3), rng.choice((1, -1))) for _ in range(rng.randrange(9))])
+        a = reduce_word([(rng.randrange(3), rng.choice((1, -1))) for _ in range(rng.randrange(4))])
+        x = word_mul(word_mul(a, x), word_inv(a))
+        n = rng.randrange(-6, 7)
+        assert word_pow(x, n) == reference_pow(x, n)
+
+
 class TestGroupOps:
     def test_mul(self):
         assert F2.mul(w("a"), w("b")) == w("a b")
