@@ -72,10 +72,13 @@ class BaumslagSolitar(StableLetterCone):
     _part_mul = staticmethod(operator.add)
     _part_inv = staticmethod(operator.neg)
 
-    def _part_of(self, letter) -> int:
-        if letter[0] != B:
-            raise PresentationError("alphabet is {a, b}")
-        return letter[1]
+    def _part_of(self, run) -> int:
+        total = 0
+        for g, sign in run:
+            if g != B:
+                raise PresentationError("alphabet is {a, b}")
+            total += sign
+        return total
 
     def _part_str(self, m: int) -> str:
         return "b" if m == 1 else f"b^{m}"

@@ -178,6 +178,8 @@ def _nica_verify(pres, args):
 
 
 def _demo_chain(pres, args):
+    if args.n < 0:
+        raise PresentationError(f"--n must be nonnegative, got {args.n}")
     result = pres.chain_demo(args.n)
     return {"n": args.n}, [result], "pass" if result["ok"] else "violation"
 

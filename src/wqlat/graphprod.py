@@ -15,10 +15,11 @@ vertex no earlier syllable blocks (a bitmask per vertex: itself and its
 non-neighbours).  No normal operand is reduced again, and the order never
 shuffles: positivity reads the syllables of any reduced form of x^-1 y.
 
-Joins follow the initial-vertex recursion ``x v y = (x_I v y_I)(x' v y')``.
-Checked at every layer it is a total decision procedure: a verified value is
-a common upper bound, and when any common upper bound exists every layer
-passes and the value is the least one.  Only the final value is checked.
+Joins unroll the initial-vertex recursion ``x v y = (x_I v y_I)(x' v y')``
+into one loop and one product.  Checked at every layer it is a total
+decision procedure: a verified value is a common upper bound, and when any
+common upper bound exists every layer passes and the value is the least one.
+Only the final value is checked.
 """
 
 from __future__ import annotations
@@ -154,33 +155,28 @@ class GraphProduct(Presentation):
                 break
         return self._ids[vertex], x
 
-    def _join(self, x: GpElement, y: GpElement, trace: list | None = None) -> JoinResult:
-        """Initial-vertex recursion; ``trace`` collects (x', y', x' v y') per layer.
+    def _join(self, x: GpElement, y: GpElement) -> JoinResult:
+        """One loop over initial vertices, then one product of the vertex joins and the rest.
 
         By the claim of the module docstring, if x and y have a common upper
-        bound, every inner formula value is finite and passes its own check.
-        So a failed inner check means there is none, and then the check of the
+        bound, every layer's value is finite and passes its own check.  So a
+        failed inner check means there is none, and then the check of the
         final value fails too: checking it alone gives the same results.
         """
-        result = self._formula(x, y, trace)
-        if x and y and result.is_finite and not (self.leq(x, result.value) and self.leq(y, result.value)):
+        heads, xr, yr = [], x, y
+        while xr and yr:
+            vertex = xr[0][0]
+            x_i, xr = self.initial_split(xr, vertex)
+            y_i, yr = self.initial_split(yr, vertex)
+            # Syllables of positive x, y are positive, so the vertex rule needs no guard.
+            j_i = self.vertices[vertex]._join(x_i, y_i)
+            if not j_i.is_finite:
+                return j_i
+            heads.append((vertex, j_i.value))
+        value = self.canon(heads + list(xr or yr))
+        if x and y and not (self.leq(x, value) and self.leq(y, value)):
             return JoinResult.infinite()
-        return result
-
-    def _formula(self, x: GpElement, y: GpElement, trace: list | None) -> JoinResult:
-        if not (x and y):
-            return JoinResult.finite(x or y)
-        vertex = x[0][0]
-        x_i, x_rest = self.initial_split(x, vertex)
-        y_i, y_rest = self.initial_split(y, vertex)
-        # Syllables of positive x, y are positive, so the vertex rule needs no guard.
-        j_i = self.vertices[vertex]._join(x_i, y_i)
-        j_rest = self._formula(x_rest, y_rest, trace) if j_i.is_finite else j_i
-        if not j_rest.is_finite:
-            return j_rest
-        if trace is not None:
-            trace.append((x_rest, y_rest, j_rest.value))
-        return JoinResult.finite(self.mul(((vertex, j_i.value),), j_rest.value))
+        return JoinResult.finite(value)
 
     def phi(self, x: GpElement) -> tuple:
         """Componentwise image in the direct sum of the vertex groups."""

@@ -4,10 +4,10 @@
 the Baumslag-Solitar groups (the HNN extension of <b> with stable letter
 a).  Its elements are normal forms ``h0 t^{e1} h1 ... t^{ek} hk`` held as
 ``(parts, eps)``; the family supplies the arithmetic of the base parts hi and
-the step that appends one t-letter, and the base builds on them normal
-forms, products and inverses one syllable at a time, the printer, heights,
-stems, the decreasing chains of the weak families and, by Britton's lemma,
-the order by stem blocks and the closed-form joins of the others.
+the step that appends one t-letter, and the base builds on them normal forms
+by runs, products and inverses by syllables, the printer, heights, stems, the
+decreasing chains of the weak families and, by Britton's lemma, the order by
+stem blocks and the closed-form joins of the others.
 
 ``HnnExtension`` is the HNN extension of a free group whose stable letter t
 conjugates u to w (PLUS mode, relator ``u t = t w``) or to w^-1 (MINUS mode,
@@ -20,13 +20,12 @@ one (memoised) coset step.
 
 PLUS is quasi-lattice ordered.  MINUS is a weak quasi-lattice in which
 elements with a common upper bound are comparable; its positivity
-criterion runs through double cosets ``<w> h <u>`` having a
+criterion asks, in closed form, whether double cosets ``<w> h <u>`` have a
 representative in the free monoid.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Sequence
 
@@ -40,9 +39,9 @@ from .words import (
     FreeGroup,
     format_word,
     is_positive_word,
-    is_suffix,
     parse_word,
     positive_quotients,
+    reduce_word,
     word_inv,
     word_mul,
     word_pow,
@@ -77,26 +76,20 @@ def coset_rep(u: FWord, h: FWord) -> tuple[FWord, int]:
     """Representative of the left coset h<u>: (rep, m) with h = rep u^m.
 
     The representative never ends in a nontrivial power of u.  When the
-    stripped remainder cancels into u (it ends in an inverse prefix), the
-    coset is re-anchored on the complementary suffix of u.
+    stripped remainder is h1 beta^-1 for the longest proper prefix beta of
+    u = beta alpha that one backward scan finds, it is re-anchored on
+    h1 alpha u^(m-1), reduced as written: h1 does not end in alpha[0]^-1.
     """
     h0, m = strip_powers(h, u)
-    if not h0:
-        return h0, m
-    last = h0[-1]
-    if last == u[-1]:
-        # h0 ends in a nonempty suffix of u; already a representative.
-        return h0, m
-    if last == (u[0][0], -u[0][1]):
-        # h0 ends in beta^-1 for a proper nonempty prefix beta of u.
-        for blen in range(len(u) - 1, 0, -1):
-            beta_inv = word_inv(u[:blen])
-            if is_suffix(beta_inv, h0):
-                h1 = h0[: len(h0) - blen]
-                alpha = u[blen:]
-                return word_mul(h1, alpha), m - 1
-        raise AssertionError("unreachable: cancellation without a matching prefix")
-    return h0, m
+    k = 0
+    while k < min(len(u) - 1, len(h0)) and h0[-1 - k] == (u[k][0], -u[k][1]):
+        k += 1
+    return (h0[:len(h0) - k] + u[k:], m - 1) if k else (h0, m)
+
+
+def negative_run(h: FWord) -> int:
+    """Length of the run of negative letters that starts h."""
+    return next((i for i, (_, sign) in enumerate(h) if sign == 1), len(h))
 
 
 class StableLetterCone(Presentation):
@@ -105,7 +98,7 @@ class StableLetterCone(Presentation):
     A family supplies its base parts: the product ``_part_mul``, the inverse
     ``_part_inv``, the text ``_part_str``, the letters ``_part_letters``, the
     identity ``unit`` (the one falsy part, printed as nothing), the part
-    ``_part_of`` of a base letter, the matrix ``_part_order(us, vs)`` of
+    ``_part_of`` of a run of base letters, the matrix ``_part_order(us, vs)`` of
     "u^-1 v is positive", the deficit ``_deficit(h)`` (the positive n with
     h = p n^-1, p positive, or None) and ``_rep_positive(h)``, whether the
     representative of h<u> is positive; ``t_index``, the stable letter's
@@ -124,14 +117,18 @@ class StableLetterCone(Presentation):
         return ((self.unit,), ())
 
     def normal_form(self, letters) -> HnnWord:
-        """Left-to-right sweep: one ``_push_t`` per stable letter, one part product per base letter."""
-        parts, eps = [self.unit], []
+        """Left-to-right sweep: one ``_push_t`` per stable letter, one part product per run of base letters."""
+        parts, eps, run = [self.unit], [], []
         t, push, mul, part_of = self.t_index, self._push_t, self._part_mul, self._part_of
         for letter in letters:
-            if letter[0] == t:
-                push(parts, eps, letter[1])
-            else:
-                parts[-1] = mul(parts[-1], part_of(letter))
+            if letter[0] != t:
+                run.append(letter)
+                continue
+            if run:
+                parts[-1], run = mul(parts[-1], part_of(run)), []
+            push(parts, eps, letter[1])
+        if run:
+            parts[-1] = mul(parts[-1], part_of(run))
         return tuple(parts), tuple(eps)
 
     def _letters(self, x: HnnWord) -> list:
@@ -347,7 +344,7 @@ class HnnExtension(StableLetterCone):
         )
         # Bounded per-instance memos: positivity (``_is_positive`` is looked up
         # on each miss, so a wrapper put on the class method sees every one)
-        # and the two base-word searches.
+        # and the two closed forms on base words.
         self._pos_cache = lru_cache(maxsize=POS_CACHE_SIZE)(lambda x: self._is_positive(x))
         self.w_power_decomposition = lru_cache(maxsize=4096)(self.w_power_decomposition)
         self.double_coset_positive = lru_cache(maxsize=4096)(self.double_coset_positive)
@@ -361,8 +358,7 @@ class HnnExtension(StableLetterCone):
     _part_inv = staticmethod(word_inv)
     _part_order = staticmethod(positive_quotients)
 
-    def _part_of(self, letter) -> FWord:
-        return (letter,)
+    _part_of = staticmethod(reduce_word)
 
     def _part_str(self, h: FWord) -> str:
         return format_word(h, self.base.gen_names)
@@ -405,28 +401,35 @@ class HnnExtension(StableLetterCone):
     # -- positivity --------------------------------------------------------
 
     def w_power_decomposition(self, h: FWord) -> int | None:
-        """m with h = w^m q for positive q, scanning a trimmed window."""
-        bound = math.ceil(len(h) / len(self.w)) + 1
-        for m in sorted(range(-bound, bound + 1), key=abs):
-            if is_positive_word(word_mul(word_pow(self.w, -m), h)):
-                return m
-        return None
+        """m with h = w^m q for positive q, or None: m = -ceil(a/|w|), a the negative run starting h.
+
+        w^k (k >= 0) cancels only into that run, the same letters for every k|w| >= a.
+        """
+        k = -(-negative_run(h) // len(self.w))
+        return -k if is_positive_word(word_mul(word_pow(self.w, k), h)) else None
 
     def double_coset_positive(self, h: FWord) -> tuple[int, int] | None:
-        """(m, n) with w^m h u^n positive, or None within the trimmed window.
+        """The least (m, n), m first, with w^m h u^n positive, or None.
 
-        Cancellation into w^m or u^n consumes at most len(h) letters and
-        surplus positive copies cannot destroy positivity, so any witness
-        can be trimmed into the window below.
+        If w^m h u^n = p with m < 0, then h u^n = w^-m p is positive, and so
+        for n: m, n >= 0 cancel only into the negative runs at the ends of h.
+        With a positive letter in h they cover the runs (a and b letters) for
+        m = ceil(a/|w|), n = ceil(b/|u|), as do higher powers.  For h = s^-1
+        the test is min(m|w|, C) + min(n|u|, P) >= |s|, P the longest prefix
+        u u ... of s and C its longest suffix ... w w: m = ceil((|s| - P)/|w|)
+        if C >= |s| - P, then n = ceil((|s| - min(m|w|, C))/|u|).  The final
+        check fails exactly when no (m, n) exists.
         """
-        mb = math.ceil(len(h) / len(self.w)) + 1
-        nb = math.ceil(len(h) / len(self.u)) + 1
-        for m in sorted(range(-mb, mb + 1), key=abs):
-            wh = word_mul(word_pow(self.w, m), h)
-            for n in sorted(range(-nb, nb + 1), key=abs):
-                if is_positive_word(word_mul(wh, word_pow(self.u, n))):
-                    return m, n
-        return None
+        w, u, a = self.w, self.u, negative_run(h)
+        if a < len(h):
+            m, n = -(-a // len(w)), -(-negative_run(h[::-1]) // len(u))
+        else:
+            s = word_inv(h)
+            p = next((i for i, g in enumerate(s) if g != u[i % len(u)]), len(s))
+            c = next((i for i, g in enumerate(reversed(s)) if g != w[-1 - i % len(w)]), len(s))
+            m = -(-(len(s) - p) // len(w))
+            n = -(-(len(s) - min(m * len(w), c)) // len(u))
+        return (m, n) if is_positive_word(word_mul(word_mul(word_pow(w, m), h), word_pow(u, n))) else None
 
     def is_positive(self, x: HnnWord) -> bool:
         return self._pos_cache(x)
@@ -446,26 +449,26 @@ class HnnExtension(StableLetterCone):
         return all(self.double_coset_positive(p) is not None for p in parts[1:-1])
 
     def positive_witness(self, x: HnnWord):
-        """Letters over the positive alphabet (base + t) multiplying to x."""
+        """Letters over the positive alphabet (base + t) multiplying to x.
+
+        MINUS, in one sweep: a middle part is w^-m p u^-n with p positive, and
+        u^-n t = t w^n carries w^n past the next t; the last part is w^m q.
+        """
         if not self.is_positive(x):
             return None
         parts, eps = x
-        if self.mode == PLUS:
+        if self.mode == PLUS or not eps:
             return tuple(self._letters(x))
-        k = len(eps)
-        if k == 0:
-            return tuple(parts[0])
+        w, out, carry = self.w, list(parts[0]), 0
+        for h in parts[1:-1]:
+            m, n = self.double_coset_positive(h)
+            out += self._t_w_block(carry - m)
+            out += word_mul(word_mul(word_pow(w, m), h), word_pow(self.u, n))
+            carry = n
         m_k = self.w_power_decomposition(parts[-1])
-        q_k = word_mul(word_pow(self.w, -m_k), parts[-1])
-        if k == 1:
-            return tuple(parts[0]) + self._t_w_block(m_k) + tuple(q_k)
-        m_star, n_star = self.double_coset_positive(parts[-2])
-        # parts[0] t parts[1] ... t parts[k-2] t (parts[k-1] u^{n*})
-        tail = word_mul(parts[-2], word_pow(self.u, n_star))
-        prefix = self._extend([parts[0]], [], zip([1] * (k - 1), parts[1:-2] + (tail,)))
-        head = self.positive_witness(prefix)
-        # u^{-n*} t w^{m_k} collapses to one positive block either way.
-        return tuple(head) + self._t_w_block(n_star + m_k) + tuple(q_k)
+        out += self._t_w_block(carry + m_k)
+        out += word_mul(word_pow(w, -m_k), parts[-1])
+        return tuple(out)
 
     def _t_w_block(self, m: int) -> tuple:
         """t w^m rewritten as a positive word (t w^m = u^-m t when m < 0)."""

@@ -26,7 +26,9 @@ from .words import (
     format_word,
     is_positive_word,
     is_prefix,
+    parse_word,
     positive_quotients,
+    reduce_word,
     word_inv,
     word_mul,
 )
@@ -95,6 +97,7 @@ class SemidirectProduct(Presentation):
     ):
         self.base = base
         self.aut = aut
+        self.gen_names = base.gen_names + ("s",)
         self.name = name or "sd:custom"
         self.metadata = metadata or {}
         # phi^k images of nonempty words at k != 0, shared by every order test
@@ -164,6 +167,10 @@ class SemidirectProduct(Presentation):
     def morphism(self) -> Morphism:
         return Morphism("projection", self, IntGroup(), self.projection)
 
+    def positive_witness(self, x: SdElement):
+        """The letters of the word, then s^q: (word, q) = (word, 0)(e, q)."""
+        return x[0] + ((self.base.n_gens, 1),) * x[1] if self.is_positive(x) else None
+
     def sigma_witness(self, q, ball) -> list:
         """``s^q`` alone: the minimal element over q under the projection."""
         return [(EMPTY, q)]
@@ -187,16 +194,14 @@ class SemidirectProduct(Presentation):
         return " ".join(parts) if parts else "e"
 
     def parse(self, text: str) -> SdElement:
-        from .words import parse_word
-
-        letters = parse_word(text, self.base.gen_names + ("s",))
-        out = self.identity()
-        for gen, sign in letters:
+        """The images phi^level(letter) of the base letters, concatenated and reduced once."""
+        pieces, level = [], 0
+        for gen, sign in parse_word(text, self.gen_names):
             if gen == self.base.n_gens:
-                out = self.mul(out, (EMPTY, sign))
+                level += sign
             else:
-                out = self.mul(out, (((gen, sign),), 0))
-        return out
+                pieces.extend(self._image(((gen, sign),), level))
+        return reduce_word(pieces), level
 
 
 class LevelwiseProduct(SemidirectProduct):

@@ -137,10 +137,6 @@ def is_prefix(x: FWord, y: FWord) -> bool:
     return len(x) <= len(y) and y[: len(x)] == x
 
 
-def is_suffix(x: FWord, y: FWord) -> bool:
-    return len(x) <= len(y) and (len(x) == 0 or y[-len(x):] == x)
-
-
 def positive_words(n_gens: int, max_len: int) -> list[FWord]:
     """All positive words of length at most ``max_len``, shortest first."""
     out: list[FWord] = [EMPTY]

@@ -173,6 +173,11 @@ class TestScanVerbs:
         assert code == 64 and out == ""
         assert err == "wqlat: error: ball of radius 6000 exceeds 8192 elements\n"
 
+    def test_demo_chain_refuses_a_negative_n(self, capsys):
+        code, out, err = run(capsys, "demo-chain", "bs:2,-3", "--n", "-1")
+        assert code == 64 and out == ""
+        assert err == "wqlat: error: --n must be nonnegative, got -1\n"
+
     def test_demo_chain_divisible_case(self, capsys):
         code, out, _ = run(capsys, "demo-chain", "bs:1,-1", "--n", "4")
         assert code == 2 and "interpolants" in out

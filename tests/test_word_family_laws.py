@@ -2,10 +2,10 @@
 
 The same four laws as the stable-letter suite in ``tests/test_stable_letter.py``,
 on elements parsed from random signed letter streams over each preset's
-alphabet.  The semidirect products give no positivity witness (``pos`` prints
-none), so for them the witness law reads only the witnesses that are given:
-none.  The nonexample has no structural join, so its join law is checked
-only where the rule claims a finite join: nowhere.
+alphabet.  Every preset gives a witness exactly for its positive elements:
+the semidirect products the letters of the word, then s^q.  The nonexample
+has no structural join, so its join law is checked only where the rule
+claims a finite join: nowhere.
 """
 
 import pytest
@@ -26,7 +26,7 @@ LAW_PRESETS = {
     "scarparo": (("a", "b"), 3, 5),
     "free:2": (("a", "b"), 3, 5),
 }
-WITNESSED = ("scarparo", "free:2")
+WITNESSED = tuple(LAW_PRESETS)
 
 signed = st.lists(st.tuples(st.integers(min_value=0, max_value=3), st.sampled_from((1, -1))), max_size=10)
 
