@@ -148,7 +148,7 @@ class BaumslagSolitar(StableLetterCone):
 
     # -- controlled map: the height -----------------------------------------
 
-    def sigma_witness(self, q: int, ball) -> list:
+    def sigma_witness(self, q: int, fiber: list) -> list:
         """Minimal elements of height q: the words b^s1 a ... b^sq a with 0 <= s_i < d'.
 
         For d' < 0 no fiber above height zero has minimal elements.

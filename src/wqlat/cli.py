@@ -81,7 +81,7 @@ def _join(pres, args):
     if result.is_inconclusive or args.oracle:
         ball = _ball(pres, args)
         if x in ball and y in ball:
-            oracle = oracle_join(pres, x, y, ball)
+            oracle = oracle_join(ball, x, y)
     if oracle is not None and result.is_inconclusive:
         result = oracle  # the oracle decides, so there is nothing to cross-check
     findings = [{"join": result.describe(pres)}]
@@ -97,7 +97,7 @@ def _elements(pres, args):
 
 
 def _check_wql(pres, args):
-    findings = check_weak_ql(pres, _ball(pres, args))
+    findings = check_weak_ql(_ball(pres, args))
     return {"radius": args.radius}, findings, "violation" if findings else "pass"
 
 
@@ -164,7 +164,7 @@ def _nica_verify(pres, args):
     findings = []
     inconclusive = 0
     for a, b in pairs:
-        result = check_nica(pres, ball.elements[a], ball.elements[b], ball, safe)
+        result = check_nica(ball, safe, ball.elements[a], ball.elements[b])
         if result["verdict"] in ("inconclusive", "truncated"):
             # A truncated comparison says nothing either way; a larger
             # enclosing ball is needed.

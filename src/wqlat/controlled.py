@@ -9,7 +9,9 @@ A morphism is checked against two axiom styles on a finite ball:
 
 Witness data comes from the family: ``Presentation.morphism()`` gives the
 map, and the bound methods ``sigma_witness`` and ``lambda_witness`` are the
-witnesses these checks take.  Verification never synthesises it.
+witnesses these checks take, each called as ``(q, fiber)`` with one fiber
+of ``fibers``: the ball elements over q, in ball order.  Verification
+never synthesises witness data.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ import numpy as np
 
 from .order import Ball, Presentation
 
-# sigma witness: (q, ball) -> list of source elements
+# sigma witness: (q, fiber) -> list of source elements, fiber the ball elements over q
 SigmaWitness = Callable
-# lambda witness: (q, ball) -> list of (label, chain) with chain(n) a source element
+# lambda witness: (q, fiber) -> list of (label, chain) with chain(n) a source element
 LambdaWitness = Callable
 
 
@@ -96,7 +98,7 @@ def check_sigma_axioms(mor: Morphism, witness: SigmaWitness, ball: Ball) -> dict
     separation_failures = []
     src = mor.source
     for q, members in sorted(fibers(mor, ball).items(), key=lambda kv: str(kv[0])):
-        sigma = list(witness(q, ball))
+        sigma = list(witness(q, members))
         src.require_positive(*sigma)
         covered = src.order_matrix(sigma, members).any(0)
         coverage_failures.extend((q, x) for x, hit in zip(members, covered) if not hit)
@@ -124,7 +126,7 @@ def check_decreasing_cover(mor: Morphism, witness: LambdaWitness, ball: Ball, de
     separation_failures = []
     uncovered = []
     for q, members in sorted(fibers(mor, ball).items(), key=lambda kv: str(kv[0])):
-        classes = list(witness(q, ball))
+        classes = list(witness(q, members))
         for label, chain in classes:
             for n in range(depth):
                 if not src.leq(chain(n + 1), chain(n)):

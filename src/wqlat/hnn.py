@@ -243,18 +243,18 @@ class StableLetterCone(Presentation):
         """x with its last part replaced by the identity."""
         return x[0][:-1] + (self.unit,), x[1]
 
-    def _stems(self, q: int, ball) -> list[HnnWord]:
-        return sorted({self.stem(x) for x in ball if self.height(x) == q}, key=self.canonical_str)
+    def _stems(self, fiber: list) -> list[HnnWord]:
+        return sorted({self.stem(x) for x in fiber}, key=self.canonical_str)
 
-    def lambda_witness(self, q: int, ball) -> list:
+    def lambda_witness(self, q: int, fiber: list) -> list:
         """With chains: n -> stem descend(n) for each stem of the height-q fiber, labelled by the stem."""
         if not self.has_chain:
-            return super().lambda_witness(q, ball)
+            return super().lambda_witness(q, fiber)
         if q == 0:
             return [("e", lambda n: self.identity())]
         return [
             (self.canonical_str(stem), lambda n, stem=stem: (stem[0][:-1] + (self.descend(n),), stem[1]))
-            for stem in self._stems(q, ball)
+            for stem in self._stems(fiber)
         ]
 
     def join_table(self, xs: Sequence[HnnWord], rel=None) -> dict:
@@ -478,11 +478,11 @@ class HnnExtension(StableLetterCone):
 
     # -- witnesses ----------------------------------------------------------
 
-    def sigma_witness(self, q: int, ball) -> list:
+    def sigma_witness(self, q: int, fiber: list) -> list:
         """PLUS: the stems of the height-q fiber; MINUS: none above height zero."""
         if self.has_chain:
             return [self.identity()] if q == 0 else []
-        return self._stems(q, ball)
+        return self._stems(fiber)
 
     # -- presentation plumbing ----------------------------------------------
 

@@ -303,14 +303,13 @@ class Presentation:
         """Canonical controlled map of the family into an amenable ordered group."""
         raise PresentationError(f"{self.name} has no canonical controlled map")
 
-    def sigma_witness(self, q, ball: "Ball") -> list:
-        """Minimal-element witness Sigma_q, sliced to a ball: here the fiber over q."""
-        mor = self.morphism()
-        return [x for x in ball if mor(x) == q]
+    def sigma_witness(self, q, fiber: list) -> list:
+        """Minimal-element witness Sigma_q for the ball's fiber over q: here the fiber itself."""
+        return fiber
 
-    def lambda_witness(self, q, ball: "Ball") -> list:
-        """Decreasing-chain witness ``(label, chain)``: here constant chains on Sigma_q."""
-        return [(f"const{k}", lambda n, s=s: s) for k, s in enumerate(self.sigma_witness(q, ball))]
+    def lambda_witness(self, q, fiber: list) -> list:
+        """Decreasing-chain witness ``(label, chain)`` for the fiber over q: here constant chains on Sigma_q."""
+        return [(f"const{k}", lambda n, s=s: s) for k, s in enumerate(self.sigma_witness(q, fiber))]
 
     def enumerate_ball(self, radius: int, cap: int | None = None) -> "Ball":
         """Breadth-first closure of {e} under right multiplication."""
@@ -411,7 +410,7 @@ def open_pairs(n: int, rel: np.ndarray | None) -> np.ndarray:
     return np.triu(~(rel | rel.T))
 
 
-def oracle_join(pres: Presentation, x: Element, y: Element, ball: Ball) -> JoinResult:
+def oracle_join(ball: Ball, x: Element, y: Element) -> JoinResult:
     """Brute-force join over a ball, independent of any structural algorithm.
 
     Returns Finite(m) for the first common upper bound m in ball order that
@@ -426,15 +425,16 @@ def oracle_join(pres: Presentation, x: Element, y: Element, ball: Ball) -> JoinR
     return JoinResult.inconclusive_within(ball.radius)
 
 
-def verify_join(pres: Presentation, x: Element, y: Element, j: Element, ball: Ball) -> bool:
+def verify_join(ball: Ball, x: Element, y: Element, j: Element) -> bool:
     """Soundness harness: j is an upper bound of x, y minimal on the ball."""
+    pres = ball.pres
     if not (pres.leq(x, j) and pres.leq(y, j)):
         return False
     ubs = np.flatnonzero(ball.leq_row(ball.position(x)) & ball.leq_row(ball.position(y)))
     return bool(pres.order_matrix((j,), [ball.elements[z] for z in ubs]).all())
 
 
-def check_weak_ql(pres: Presentation, ball: Ball) -> list[dict]:
+def check_weak_ql(ball: Ball) -> list[dict]:
     """Scan all ball pairs for failures of the least-upper-bound property.
 
     A finding records a pair with at least two mutually incomparable minimal

@@ -171,7 +171,7 @@ class SemidirectProduct(Presentation):
         """The letters of the word, then s^q: (word, q) = (word, 0)(e, q)."""
         return x[0] + ((self.base.n_gens, 1),) * x[1] if self.is_positive(x) else None
 
-    def sigma_witness(self, q, ball) -> list:
+    def sigma_witness(self, q, fiber: list) -> list:
         """``s^q`` alone: the minimal element over q under the projection."""
         return [(EMPTY, q)]
 
@@ -238,19 +238,17 @@ class PhiAbProduct(SemidirectProduct):
     def morphism(self) -> Morphism:
         return Morphism("exp-sum-pair", self, DirectSum((IntGroup(), IntGroup())), self.exp_sum_pair)
 
-    def sigma_witness(self, q, ball) -> list:
+    def sigma_witness(self, q, fiber: list) -> list:
         """The fiber over q stripped of trailing b.
 
         Stripping the trailing b-letters of a fiber member gives the minimal
         element below it, which need not lie in the ball.
         """
         out = set()
-        for x in ball:
-            if self.exp_sum_pair(x) == q:
-                word = x[0]
-                while word and word[-1] == (B, 1):
-                    word = word[:-1]
-                out.add((word, x[1]))
+        for word, level in fiber:
+            while word and word[-1] == (B, 1):
+                word = word[:-1]
+            out.add((word, level))
         return sorted(out, key=self.canonical_str)
 
     def join_table(self, xs: Sequence[SdElement], rel=None) -> dict:

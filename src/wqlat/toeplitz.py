@@ -3,10 +3,12 @@
 The shift by a positive element acts on a ball as a partial injection of
 indices, one index array built by :func:`toeplitz_op`; compositions are
 gathers, adjoints scatters, and range projections and restrictions masks,
-so every identity in scope holds exactly with no floating point.  Comparisons are restricted to a safe region, a smaller
-concentric ball on which truncation cannot cut off the compositions under
-test.  There the Nica check reads the range of T_z as "z^-1 p in the
-ball", with one inverse per shift and no whole-ball shift.
+so every identity in scope holds exactly with no floating point.
+Comparisons are restricted to a safe region, a smaller concentric ball on
+which truncation cannot cut off the compositions under test; the checks
+read the presentation from the ball.  There the Nica check reads the
+range of T_z as "z^-1 p in the ball", with one inverse per shift and no
+whole-ball shift, and compares one mask per shift.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controlled import Morphism
-from .order import Ball, Presentation, PresentationError
+from .order import Ball, PresentationError
 
 
 class PartialInjection:
@@ -152,63 +154,46 @@ def diagonal_expectation(op: PartialInjection) -> PartialInjection:
     return PartialInjection.partial_identity(op.arr == np.arange(op.size))
 
 
-def safe_masks(pres: Presentation, z, ball: Ball, safe: SafeRegion) -> tuple[np.ndarray, np.ndarray]:
+def safe_masks(ball: Ball, safe: SafeRegion, z) -> tuple[np.ndarray, np.ndarray]:
     """Over safe p: z <= p (z^-1 p positive) and p in the range of T_z (z^-1 p in the ball)."""
+    pres = ball.pres
     zi = pres.inv(z)
     quotients = [pres.mul(zi, ball.elements[p]) for p in safe.indices]
     up = np.array([pres.is_positive(q) for q in quotients], dtype=bool)
     return up, np.array([q in ball for q in quotients], dtype=bool)
 
 
-def check_nica(pres: Presentation, x, y, ball: Ball, safe: SafeRegion) -> dict:
-    """Covariance of the range projections of two positive shifts.
+def check_nica(ball: Ball, safe: SafeRegion, x, y) -> dict:
+    """Covariance of the range projections of two positive shifts, on the safe region.
 
-    Logical form: on every safe p, (x <= p and y <= p) holds exactly when
-    the join is finite and below p.  Operator form: the product of range
-    projections equals the range projection of the join (zero when the
-    join is infinite), all restricted to the safe region.  A safe p is in
-    the range of T_z iff z^-1 p is in the ball: one inverse per shift.
+    Operator form: the product of the range projections of T_x and T_y is
+    that of T_{x v y}, zero when the join is infinite; a safe p is in the
+    range of T_z iff z^-1 p is in the ball.  Logical form: x <= p and
+    y <= p exactly when the join is finite and below p.  They are one
+    comparison: ball elements are positive, so each range mask lies inside
+    the order mask ``z <= p``, and the guard returns "truncated" (the
+    adjoint of T_z cuts off a positive quotient) unless the reverse holds
+    too.  Past it the masks are equal, so ``ux & uy == uj`` is both forms.
     """
+    pres = ball.pres
     join = pres.join(x, y)
     if join.is_inconclusive:
         return {"verdict": "inconclusive", "join": join}
     for z in (x, y):
         ball.position(z)  # raises ElementOutsideBall off the ball
-    shifts = [x, y] + ([join.value] if join.is_finite else [])
-    above, ranges = [], []
-    for z in shifts:
-        # A positive quotient off the ball means the adjoint of T_z
-        # truncates, and the comparison is meaningless.
-        up, rng = safe_masks(pres, z, ball, safe)
+    above = []
+    for z in [x, y] + ([join.value] if join.is_finite else []):
+        up, rng = safe_masks(ball, safe, z)
         if (up & ~rng).any():
             return {"verdict": "truncated", "join": join, "shift": z}
         above.append(up)
-        ranges.append(rng)
     if not join.is_finite:
-        # An infinite join has no shift: its range projection is zero.
-        above.append(np.zeros(len(safe.indices), dtype=bool))
-        ranges.append(above[-1])
-    (ux, uy, uj), (rx, ry, rj) = above, ranges
-    logical_ok = bool(np.array_equal(ux & uy, uj))
-    operator_ok = bool(np.array_equal(rx & ry, rj))
-    forms_agree = bool(np.array_equal(rx & ry, ux & uy))
-    ok = logical_ok and operator_ok and forms_agree
-    return {
-        "verdict": "pass" if ok else "fail",
-        "join": join,
-        "logical_ok": logical_ok,
-        "operator_ok": operator_ok,
-        "forms_agree": forms_agree,
-    }
+        above.append(np.zeros(len(safe.indices), dtype=bool))  # no shift: the range projection is zero
+    ux, uy, uj = above
+    return {"verdict": "pass" if np.array_equal(ux & uy, uj) else "fail", "join": join}
 
 
-def matrix_units_check(
-    pres: Presentation,
-    chains: list,
-    n: int,
-    ball: Ball,
-    safe: SafeRegion,
-) -> dict:
+def matrix_units_check(ball: Ball, safe: SafeRegion, chains: list, n: int) -> dict:
     """Matrix-unit relations for E_lr = T_{s_n^l} T_{s_n^r}^* on the safe region.
 
     ``chains`` lists (label, chain) pairs from a decreasing-chain witness;
@@ -218,7 +203,7 @@ def matrix_units_check(
     ops = {}
     for label, chain in chains:
         s = chain(n)
-        if not pres.is_positive(s):
+        if not ball.pres.is_positive(s):
             raise PresentationError("chain entries must be positive")
         t = toeplitz_op(ball, s)
         ops[label] = (t, t.adjoint())
@@ -240,8 +225,8 @@ def matrix_units_check(
     return {"ok": not failures, "failures": failures, "labels": labels, "n": n}
 
 
-def spanning_product(pres: Presentation, mor: Morphism, p, q, r, s):
-    """Normal form of the product of two spanning pairs (p,q*), (r,s*).
+def spanning_product(mor: Morphism, p, q, r, s):
+    """Normal form of the product of two spanning pairs (p,q*), (r,s*) in ``mor.source``.
 
     Requires both pairs to sit in single fibers of the morphism.  Returns
     the new pair, or None when the middle join is infinite and the product
@@ -249,6 +234,7 @@ def spanning_product(pres: Presentation, mor: Morphism, p, q, r, s):
     """
     if mor(p) != mor(q) or mor(r) != mor(s):
         raise PresentationError("spanning pairs must have matching fiber values")
+    pres = mor.source
     join = pres.join(q, r)
     if join.is_infinite:
         return None

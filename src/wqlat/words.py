@@ -312,10 +312,12 @@ class ScarparoCone(Presentation):
         raise PresentationError("the cone has no finite generating set; use enumerate_ball")
 
     def enumerate_ball(self, radius: int, cap: int | None = None):
-        from .order import Ball, check_element_cap, check_radius_cap
+        from .order import BALL_ELEMENT_CAP, Ball, check_element_cap, check_radius_cap
 
         check_radius_cap(radius, cap)
-        check_element_cap(2**radius, radius)  # e, and b w for each positive w shorter than radius
+        # e, and b w for each positive w shorter than radius; the exponent is
+        # bounded first, so a huge radius is refused at once.
+        check_element_cap(2 ** min(radius, BALL_ELEMENT_CAP.bit_length()), radius)
         elements = [EMPTY]
         if radius >= 1:
             b = ((1, 1),)

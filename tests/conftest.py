@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from wqlat.controlled import fibers
 from wqlat.presets import get_presentation
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -35,6 +36,11 @@ def ball_of(name: str, radius: int):
     if key not in _BALLS:
         _BALLS[key] = pres_of(name).enumerate_ball(radius, cap=radius)
     return _BALLS[key]
+
+
+def fiber_of(name: str, radius: int, q) -> list:
+    """The elements of ``ball_of(name, radius)`` over q under the preset's morphism, in ball order."""
+    return fibers(pres_of(name).morphism(), ball_of(name, radius)).get(q, [])
 
 
 def short(name):

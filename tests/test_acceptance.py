@@ -21,7 +21,7 @@ from wqlat.presets import ACCEPTANCE_PRESETS
 from wqlat.toeplitz import SafeRegion, check_nica, matrix_units_check
 from wqlat.words import format_word
 
-from conftest import ball_of, pres_of, record_criterion
+from conftest import ball_of, fiber_of, pres_of, record_criterion
 
 NICA_RADII = {"bs:2,-3": 8}
 
@@ -37,11 +37,11 @@ def test_criterion_1_structural_joins_match_oracle():
             for y in small:
                 r = pres.join(x, y)
                 if r.is_finite and r.value in big:
-                    o = oracle_join(pres, x, y, big)
+                    o = oracle_join(big, x, y)
                     if o != r:
                         discrepancies.append((name, pres.canonical_str(x), pres.canonical_str(y)))
                 elif r.is_infinite:
-                    o = oracle_join(pres, x, y, big)
+                    o = oracle_join(big, x, y)
                     if o.is_finite:
                         discrepancies.append((name, pres.canonical_str(x), pres.canonical_str(y)))
     elapsed = time.time() - start
@@ -59,11 +59,11 @@ def test_criterion_1_structural_joins_match_oracle():
 def test_criterion_2_weak_ql_controls():
     dirty = []
     for name in ACCEPTANCE_PRESETS:
-        findings = check_weak_ql(pres_of(name), ball_of(name, 5))
+        findings = check_weak_ql(ball_of(name, 5))
         if findings:
             dirty.append((name, findings[:2]))
     nx = pres_of("sd:nonexample")
-    findings = check_weak_ql(nx, nx.enumerate_ball(5))
+    findings = check_weak_ql(nx.enumerate_ball(5))
     p, q = nx.metadata["witness_pair"]
     target = sorted([nx.canonical_str(p), nx.canonical_str(q)])
     bounds = sorted(nx.canonical_str(b) for b in nx.metadata["witness_bounds"])
@@ -114,7 +114,7 @@ def test_criterion_4_nica_covariance():
         members = [ball.elements[i] for i in safe.indices]
         for x in members:
             for y in members:
-                verdict = check_nica(pres, x, y, ball, safe)["verdict"]
+                verdict = check_nica(ball, safe, x, y)["verdict"]
                 if verdict == "fail":
                     failures.append((name, pres.canonical_str(x), pres.canonical_str(y)))
                 elif verdict == "truncated":
@@ -213,11 +213,11 @@ def test_criterion_7_matrix_units():
     pres = pres_of("bs:2,-3")
     ball = ball_of("bs:2,-3", 6)
     safe = SafeRegion.of(ball, 2)
-    chains = pres.lambda_witness(1, ball)[:2]
+    chains = pres.lambda_witness(1, fiber_of("bs:2,-3", 6, 1))[:2]
     assert len(chains) == 2
     failures = []
     for n in (0, 1, 2):
-        report = matrix_units_check(pres, chains, n, ball, safe)
+        report = matrix_units_check(ball, safe, chains, n)
         if not report["ok"]:
             failures.append((n, report["failures"]))
     ok = not failures

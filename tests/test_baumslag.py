@@ -119,9 +119,9 @@ class TestOrderAndJoin:
             for y in ball:
                 r = pres.join(x, y)
                 if r.is_finite and r.value in big:
-                    assert oracle_join(pres, x, y, big) == r
+                    assert oracle_join(big, x, y) == r
                 elif r.is_infinite:
-                    assert not oracle_join(pres, x, y, big).is_finite
+                    assert not oracle_join(big, x, y).is_finite
 
     def test_height_is_order_preserving(self):
         for pres in (BS23, BSM23, BSM11):

@@ -312,6 +312,14 @@ class TestUsageErrors:
         assert code == 64 and out == ""
         assert err == "wqlat: error: ball of radius 10 exceeds 8192 elements\n"
 
+    def test_element_cap_of_a_huge_scarparo_radius(self, capsys):
+        # The scarparo ball has 2**radius elements; the cap is checked
+        # without taking that power, so a radius of 10**18 is refused at once.
+        huge = str(10**18)
+        code, out, err = run(capsys, "ball", "scarparo", "--radius", huge, "--max-radius", huge)
+        assert code == 64 and out == ""
+        assert err == f"wqlat: error: ball of radius {huge} exceeds 8192 elements\n"
+
     def test_op_non_positive(self, capsys):
         code, out, err = run(capsys, "op", "free:2", "a^-1")
         assert code == 64 and out == ""

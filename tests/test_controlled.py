@@ -8,11 +8,12 @@ from wqlat.controlled import (
     check_join_preserving,
     check_order_preserving,
     check_sigma_axioms,
+    fibers,
 )
 from wqlat.order import IntGroup, PresentationError
 from wqlat.presets import get_presentation
 
-from conftest import ball_of, pres_of
+from conftest import ball_of, fiber_of, pres_of
 
 SIGMA_PRESETS = ["free:2", "scarparo", "bs:2,3", "hnn+:x,y@x,y", "graph:path3", "sd:swap2", "sd:phi-ab"]
 LAMBDA_PRESETS = ["bs:2,-3", "bs:1,-1", "hnn-:x,y@x,y"]
@@ -115,12 +116,13 @@ class TestLambdaSuites:
         mor = pres.morphism()
         ball = ball_of(name, radius_for(pres))
         report = check_decreasing_cover(mor, pres.lambda_witness, ball, depth)
+        by_image = fibers(mor, ball)
         expected = [
             x
             for x in ball
             if not any(
                 pres.leq(chain(n), x)
-                for _, chain in pres.lambda_witness(mor(x), ball)
+                for _, chain in pres.lambda_witness(mor(x), by_image[mor(x)])
                 for n in range(depth + 1)
             )
         ]
@@ -130,8 +132,7 @@ class TestLambdaSuites:
 class TestWitnessShapes:
     def test_bs_minimal_slice_enumerates_exponent_tuples(self):
         pres = pres_of("bs:2,3")
-        ball = ball_of("bs:2,3", 4)
-        stems = pres.sigma_witness(2, ball)
+        stems = pres.sigma_witness(2, fiber_of("bs:2,3", 4, 2))
         # d^q stems at height q, every one ending in the a-letter.
         assert len(stems) == 9
         assert all(exps[-1] == 0 and len(eps) == 2 for exps, eps in stems)
@@ -140,8 +141,7 @@ class TestWitnessShapes:
         from wqlat.words import word_pow
 
         pres = pres_of("hnn-:x,y@x,y")
-        ball = ball_of("hnn-:x,y@x,y", 3)
-        chains = pres.lambda_witness(1, ball)
+        chains = pres.lambda_witness(1, fiber_of("hnn-:x,y@x,y", 3, 1))
         assert chains
         for label, chain in chains:
             s0, s3 = chain(0), chain(3)
@@ -200,3 +200,28 @@ class TestPresentationHooks:
             pres.morphism()
         assert pres.positive_witness(3) is None
         assert not pres.has_chain
+
+    @pytest.mark.parametrize(
+        "name,radius,image,size", [("graph:path3", 3, "phi", 26), ("sd:phi-ab", 4, "exp_sum_pair", 81)]
+    )
+    def test_sigma_check_maps_each_ball_element_once(self, name, radius, image, size, monkeypatch):
+        # The witnesses take their fiber: the check maps the ball once, to
+        # split it, and no hook builds the map or maps the ball again.
+        pres, ball = pres_of(name), ball_of(name, radius)
+        cls = type(pres)
+        counts = {"morphism": 0, "image": 0}
+        build, fn = cls.morphism, getattr(cls, image)
+
+        def counted_image(self, x):
+            counts["image"] += 1
+            return fn(self, x)
+
+        def counted_build(self):
+            counts["morphism"] += 1
+            return build(self)
+
+        monkeypatch.setattr(cls, image, counted_image)
+        mor = pres.morphism()
+        monkeypatch.setattr(cls, "morphism", counted_build)
+        assert check_sigma_axioms(mor, pres.sigma_witness, ball)["ok"]
+        assert counts == {"morphism": 0, "image": size} and len(ball) == size

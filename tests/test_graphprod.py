@@ -174,7 +174,7 @@ class TestJoin:
                 r = pres.join(u, v)
                 finite += r.is_finite
                 if r.is_finite:
-                    assert oracle_join(pres, u, v, big) == r
+                    assert oracle_join(big, u, v) == r
                 else:
                     assert not (big.leq_row(big.position(u)) & big.leq_row(big.position(v))).any()
         assert len(ball) < finite < len(ball) ** 2
@@ -186,7 +186,7 @@ class TestJoin:
         for x in ball:
             for y in ball:
                 r = pres.join(x, y)
-                o = oracle_join(pres, x, y, big)
+                o = oracle_join(big, x, y)
                 if r.is_finite and r.value in big:
                     assert o == r
                 else:

@@ -255,7 +255,7 @@ class TestDoubleCosets:
     def test_inverse_generator_has_none(self):
         assert self.pres.double_coset_positive(self.base.parse("a^-1")) is None
 
-    def test_searches_are_memoised_with_a_bound(self):
+    def test_closed_forms_are_memoised_with_a_bound(self):
         h = self.base.parse("y^-2 a")
         for search in (self.pres.double_coset_positive, self.pres.w_power_decomposition):
             assert search(h) == search(h)
@@ -280,9 +280,10 @@ class TestDoubleCosets:
         assert (HnnExtension._part_mul, HnnExtension._part_inv) == (word_mul, word_inv)
         assert (BaumslagSolitar._part_mul, BaumslagSolitar._part_inv) == (operator.add, operator.neg)
 
-    def test_window_is_wide_enough(self):
-        # Doubling the search window never finds witnesses the trimmed
-        # window missed.
+    def test_closed_form_matches_a_doubled_window(self):
+        # The closed form finds a positive w^m h u^n exactly when a
+        # brute-force search over a doubled (m, n) window, negative powers
+        # included, finds one.
         rng = random.Random(41)
         u, w = self.base.parse("x"), self.base.parse("y")
         for _ in range(200):
@@ -357,7 +358,7 @@ class TestJoins:
         for x in ball:
             for y in ball:
                 r = HP.join(x, y)
-                o = oracle_join(HP, x, y, big)
+                o = oracle_join(big, x, y)
                 if r.is_finite and r.value in big:
                     assert o == r
                 elif r.is_infinite:
@@ -394,9 +395,9 @@ class TestJoins:
                 if r.is_infinite:
                     assert not (big.leq_row(big.position(x)) & big.leq_row(big.position(y))).any()
                 elif r.value in big:
-                    assert oracle_join(pres, x, y, big) == r
+                    assert oracle_join(big, x, y) == r
                 else:
-                    assert verify_join(pres, x, y, r.value, big)
+                    assert verify_join(big, x, y, r.value)
 
     def test_minus_comparability(self):
         ball = ball_of(HM.name, 3)

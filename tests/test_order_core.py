@@ -154,20 +154,20 @@ class TestOracle:
     def test_prefix_pair(self):
         pres = pres_of("free:2")
         ball = ball_of("free:2", 4)
-        r = oracle_join(pres, pres.parse("a"), pres.parse("a b"), ball)
+        r = oracle_join(ball, pres.parse("a"), pres.parse("a b"))
         assert r == JoinResult.finite(pres.parse("a b"))
 
     def test_empty_candidate_set_is_inconclusive(self):
         pres = pres_of("free:2")
         ball = ball_of("free:2", 4)
-        r = oracle_join(pres, pres.parse("a"), pres.parse("b"), ball)
+        r = oracle_join(ball, pres.parse("a"), pres.parse("b"))
         assert r.is_inconclusive and r.radius == 4
 
     def test_bs12_join_of_generators(self):
         pres = pres_of("bs:1,2")
         ball = ball_of("bs:1,2", 6)
         a, b = pres.parse("a"), pres.parse("b")
-        r = oracle_join(pres, a, b, ball)
+        r = oracle_join(ball, a, b)
         assert r == JoinResult.finite(pres.parse("a b"))
         assert pres.parse("a b") == pres.parse("b^2 a")
 
@@ -175,34 +175,34 @@ class TestOracle:
         pres = pres_of("free:2")
         ball = ball_of("free:2", 2)
         with pytest.raises(ElementOutsideBall):
-            oracle_join(pres, pres.parse("a^3"), pres.parse("a"), ball)
+            oracle_join(ball, pres.parse("a^3"), pres.parse("a"))
 
 
 class TestVerifyJoin:
     def test_accepts_true_join(self):
         pres = pres_of("free:2")
         ball = ball_of("free:2", 4)
-        assert verify_join(pres, pres.parse("a"), pres.parse("a b"), pres.parse("a b"), ball)
+        assert verify_join(ball, pres.parse("a"), pres.parse("a b"), pres.parse("a b"))
 
     def test_rejects_non_minimal(self):
         pres = pres_of("free:2")
         ball = ball_of("free:2", 4)
-        assert not verify_join(pres, pres.parse("a"), pres.parse("a b"), pres.parse("a b a"), ball)
+        assert not verify_join(ball, pres.parse("a"), pres.parse("a b"), pres.parse("a b a"))
 
     def test_bs12_generator_join(self):
         pres = pres_of("bs:1,2")
         ball = ball_of("bs:1,2", 6)
-        assert verify_join(pres, pres.parse("a"), pres.parse("b"), pres.parse("a b"), ball)
+        assert verify_join(ball, pres.parse("a"), pres.parse("b"), pres.parse("a b"))
 
 
 class TestWeakQlScan:
     def test_quasi_lattices_are_clean(self):
         for name in ("free:2", "scarparo"):
-            assert check_weak_ql(pres_of(name), ball_of(name, 4)) == []
+            assert check_weak_ql(ball_of(name, 4)) == []
 
     def test_nonexample_reports_witness_pair(self):
         pres = pres_of("sd:nonexample")
-        findings = check_weak_ql(pres, ball_of("sd:nonexample", 4))
+        findings = check_weak_ql(ball_of("sd:nonexample", 4))
         assert findings
         p, q = pres.metadata["witness_pair"]
         target = sorted([pres.canonical_str(p), pres.canonical_str(q)])
@@ -258,4 +258,4 @@ class TestSharedLaws:
                     assert r == r2 or (r.is_inconclusive and r2.is_inconclusive), name
                     if r.is_finite:
                         assert pres.is_positive(r.value), name
-                        assert verify_join(pres, x, y, r.value, big), name
+                        assert verify_join(big, x, y, r.value), name

@@ -229,7 +229,7 @@ def test_check_weak_ql_matches_reference(name, radius, cells, monkeypatch):
         _REFERENCE[name, radius] = reference_weak_ql(pres, ball)
     if cells is not None:
         monkeypatch.setattr(order, "SCAN_CHUNK_CELLS", cells)
-    findings = check_weak_ql(pres, ball)
+    findings = check_weak_ql(ball)
     assert findings == _REFERENCE[name, radius]
     assert len(findings) == {("sd:nonexample", 4): 47, ("sd:nonexample", 5): 170,
                              ("sd:nonexample", 6): 541}.get((name, radius), 0)
@@ -265,7 +265,7 @@ def test_oracle_least_element_scan_matches_minimal_set(name):
     finite = 0
     for x in ball:
         for y in ball:
-            got = oracle_join(pres, x, y, ball)
+            got = oracle_join(ball, x, y)
             assert got == oracle_join_minimal_set(ball, x, y) and got.radius == (None if got.is_finite else 3)
             finite += got.is_finite
     assert finite >= len(ball)  # x v e = x at least

@@ -111,7 +111,7 @@ class TestJoins:
         for x in ball:
             for y in ball:
                 r = pres.join(x, y)
-                o = oracle_join(pres, x, y, big)
+                o = oracle_join(big, x, y)
                 if r.is_finite and r.value in big:
                     assert o == r
                 else:

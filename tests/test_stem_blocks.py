@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from wqlat.cli import main
-from wqlat.controlled import check_sigma_axioms
+from wqlat.controlled import check_sigma_axioms, fibers
 from wqlat.order import Presentation, PresentationError
 from wqlat.presets import get_presentation
 
@@ -119,9 +119,8 @@ class TestJoinTable:
         # phi-ab joins words only when one is a prefix of the other.
         pres, ball = pres_of("sd:phi-ab"), ball_of("sd:phi-ab", radius)
         assert pres.join_table(ball.elements) == default_table(pres, ball.elements)
-        mor = pres.morphism()
-        for q in {mor(x) for x in ball}:
-            sigma = pres.sigma_witness(q, ball)
+        for q, fiber in fibers(pres.morphism(), ball).items():
+            sigma = pres.sigma_witness(q, fiber)
             assert pres.join_table(sigma) == default_table(pres, sigma)
 
     def test_join_preservation_reads_the_ball_relation(self, capsys, monkeypatch):
@@ -147,10 +146,10 @@ def test_sigma_check_rejects_a_non_positive_witness(alone):
     pres = pres_of("bs:2,3")
     bad = pres.parse("a^-1")
 
-    def witness(q, ball):
+    def witness(q, fiber):
         if q != 1:
-            return pres.sigma_witness(q, ball)
-        return [bad] if alone else pres.sigma_witness(q, ball) + [bad]
+            return pres.sigma_witness(q, fiber)
+        return [bad] if alone else pres.sigma_witness(q, fiber) + [bad]
 
     with pytest.raises(PresentationError, match=r"^element a\^-1 is not positive$"):
         check_sigma_axioms(pres.morphism(), witness, ball_of("bs:2,3", 3))

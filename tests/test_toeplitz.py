@@ -15,7 +15,7 @@ from wqlat.toeplitz import (
     toeplitz_op,
 )
 
-from conftest import ball_of, pres_of
+from conftest import ball_of, fiber_of, pres_of
 
 
 class TestPartialInjection:
@@ -113,21 +113,21 @@ class TestNica:
         pres = pres_of("free:2")
         ball = ball_of("free:2", 6)
         safe = SafeRegion.of(ball, 3)
-        r = check_nica(pres, pres.parse("a"), pres.parse("b"), ball, safe)
+        r = check_nica(ball, safe, pres.parse("a"), pres.parse("b"))
         assert r["verdict"] == "pass" and r["join"].is_infinite
 
     def test_prefix_pair(self):
         pres = pres_of("free:2")
         ball = ball_of("free:2", 6)
         safe = SafeRegion.of(ball, 3)
-        r = check_nica(pres, pres.parse("a"), pres.parse("a b"), ball, safe)
+        r = check_nica(ball, safe, pres.parse("a"), pres.parse("a b"))
         assert r["verdict"] == "pass" and r["join"].is_finite
 
     def test_bs_generator_pair(self):
         pres = pres_of("bs:1,2")
         ball = ball_of("bs:1,2", 6)
         safe = SafeRegion.of(ball, 3)
-        r = check_nica(pres, pres.parse("a"), pres.parse("b"), ball, safe)
+        r = check_nica(ball, safe, pres.parse("a"), pres.parse("b"))
         assert r["verdict"] == "pass"
         assert r["join"].value == pres.parse("a b")
 
@@ -138,7 +138,7 @@ class TestNica:
         ball = ball_of("bs:1,2", 3)
         safe = SafeRegion.of(ball, 3)
         b = pres.parse("b")
-        r = check_nica(pres, pres.identity(), b, ball, safe)
+        r = check_nica(ball, safe, pres.identity(), b)
         assert r["verdict"] == "truncated" and r["shift"] == b
 
     def test_rejects_negative_safe_radius(self):
@@ -162,13 +162,13 @@ class TestNica:
 class TestMatrixUnits:
     def chains(self, count):
         pres = pres_of("bs:2,-3")
-        return pres, pres.lambda_witness(1, ball_of("bs:2,-3", 6))[:count]
+        return pres, pres.lambda_witness(1, fiber_of("bs:2,-3", 6, 1))[:count]
 
     def test_single_class_is_idempotent(self):
         pres, chains = self.chains(1)
         ball = ball_of("bs:2,-3", 6)
         safe = SafeRegion.of(ball, 2)
-        assert matrix_units_check(pres, chains, 1, ball, safe)["ok"]
+        assert matrix_units_check(ball, safe, chains, 1)["ok"]
 
     def test_cross_terms_vanish(self):
         pres, chains = self.chains(2)
@@ -185,26 +185,26 @@ class TestSpanningProduct:
         mor = pres.morphism()
         p = pres.parse("a b")
         q = pres.parse("b a")
-        got = spanning_product(pres, mor, p, q, q, p)
+        got = spanning_product(mor, p, q, q, p)
         assert got == (p, p)
 
     def test_infinite_middle_vanishes(self):
         pres = pres_of("free:2")
         mor = pres.morphism()
         a, b = pres.parse("a"), pres.parse("b")
-        assert spanning_product(pres, mor, a, a, b, b) is None
+        assert spanning_product(mor, a, a, b, b) is None
 
     def test_bs_infinite_middle(self):
         pres = pres_of("bs:2,-3")
         mor = pres.morphism()
         ba, b2a = pres.parse("b a"), pres.parse("b^2 a")
-        assert spanning_product(pres, mor, ba, ba, b2a, b2a) is None
+        assert spanning_product(mor, ba, ba, b2a, b2a) is None
 
     def test_fiber_mismatch(self):
         pres = pres_of("free:2")
         mor = pres.morphism()
         with pytest.raises(PresentationError):
-            spanning_product(pres, mor, pres.parse("a"), pres.parse("a b"), pres.parse("b"), pres.parse("b"))
+            spanning_product(mor, pres.parse("a"), pres.parse("a b"), pres.parse("b"), pres.parse("b"))
 
     def test_operator_consistency(self):
         pres = pres_of("bs:1,2")
@@ -224,7 +224,7 @@ class TestSpanningProduct:
         for _ in range(60):
             p, q = rng.choice(tuples)
             r, s = rng.choice(tuples)
-            got = spanning_product(pres, mor, p, q, r, s)
+            got = spanning_product(mor, p, q, r, s)
             lhs = pair_operator(ball, p, q).compose(pair_operator(ball, r, s))
             if got is None:
                 assert lhs.restrict(safe.indices).is_zero()

@@ -72,6 +72,6 @@ class TestWordFamilyLaws:
         x, y = ball.elements[i % len(ball)], ball.elements[j % len(ball)]
         r = pres.join(x, y)
         if r.is_finite and r.value in big:
-            assert oracle_join(pres, x, y, big) == r
+            assert oracle_join(big, x, y) == r
         elif r.is_infinite:
-            assert not oracle_join(pres, x, y, big).is_finite
+            assert not oracle_join(big, x, y).is_finite
