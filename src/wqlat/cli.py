@@ -162,17 +162,18 @@ def _nica_verify(pres, args):
         rng = random.Random(args.seed)
         pairs = rng.sample(pairs, min(k, len(pairs)))
     findings = []
-    inconclusive = 0
+    # A truncated comparison says nothing either way (a larger enclosing
+    # ball is needed), and neither does a pair whose join is undecided.
+    undecided = {"truncated": 0, "join_inconclusive": 0}
     for a, b in pairs:
         result = check_nica(ball, safe, ball.elements[a], ball.elements[b])
-        if result["verdict"] in ("inconclusive", "truncated"):
-            # A truncated comparison says nothing either way; a larger
-            # enclosing ball is needed.
-            inconclusive += 1
-        elif result["verdict"] == "fail":
+        if result["verdict"] == "fail":
             findings.append({"pair": [ball.names[a], ball.names[b]], "classification": "covariance failure"})
+        elif result["verdict"] != "pass":
+            undecided["truncated" if result["verdict"] == "truncated" else "join_inconclusive"] += 1
     findings.sort(key=lambda f: f["pair"])
-    verdict = "violation" if findings else ("inconclusive" if inconclusive else "pass")
+    verdict = "violation" if findings else ("inconclusive" if any(undecided.values()) else "pass")
+    findings += [{key: n} for key, n in undecided.items() if n]
     params = {"radius": args.radius, "safe_radius": args.safe_radius, "pairs": args.pairs, "seed": args.seed}
     return {**params, "checked": len(pairs)}, findings, verdict
 

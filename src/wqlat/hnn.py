@@ -5,7 +5,8 @@ the Baumslag-Solitar groups (the HNN extension of <b> with stable letter
 a).  Its elements are normal forms ``h0 t^{e1} h1 ... t^{ek} hk`` held as
 ``(parts, eps)``; the family supplies the arithmetic of the base parts hi and
 the step that appends one t-letter, and the base builds on them normal forms
-by runs, products and inverses by syllables, the printer, heights, stems, the
+by runs, products and inverses by syllables (a product by a base part is one
+part product), the printer, heights, stems, the
 decreasing chains of the weak families and, by Britton's lemma, the order by
 stem blocks and the closed-form joins of the others.
 
@@ -26,13 +27,13 @@ representative in the free monoid.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .controlled import Morphism
-from .order import IntGroup, JoinResult, Presentation, PresentationError
+from .order import IntGroup, JoinResult, Presentation, PresentationError, prefix_index
 from .words import (
     EMPTY,
     FWord,
@@ -148,6 +149,9 @@ class StableLetterCone(Presentation):
         return tuple(parts), tuple(eps)
 
     def mul(self, x: HnnWord, y: HnnWord) -> HnnWord:
+        """One part product when y is a base part (the last part of a normal form has no coset condition)."""
+        if not y[1]:
+            return x[0][:-1] + (self._part_mul(x[0][-1], y[0][0]),), x[1]
         parts = list(x[0])
         parts[-1] = self._part_mul(parts[-1], y[0][0])
         return self._extend(parts, list(x[1]), zip(y[1], y[0][1:]))
@@ -162,8 +166,16 @@ class StableLetterCone(Presentation):
         return self.normal_form(parse_word(text, self.gen_names))
 
     def canonical_str(self, x: HnnWord) -> str:
+        return self._name(x, self._part_str)
+
+    def canonical_strs(self, xs: Sequence[HnnWord]) -> list[str]:
+        """The names of xs, each distinct part printed once per call: a ball repeats few parts."""
+        part_str = cache(self._part_str)
+        return [self._name(x, part_str) for x in xs]
+
+    def _name(self, x: HnnWord, part_str) -> str:
         parts, eps = x
-        part_str, t = self._part_str, self.gen_names[self.t_index]
+        t = self.gen_names[self.t_index]
         tokens = [part_str(parts[0])] if parts[0] else []
         for e, h in zip(eps, parts[1:]):
             tokens.append(t if e == 1 else t + "^-1")
@@ -200,35 +212,39 @@ class StableLetterCone(Presentation):
         For Baumslag-Solitar <u> = <b^d'>, and the representatives before an
         a lie in [0, |d'|) for either sign of d': the argument holds as it
         stands.  Rows with a t^-1 keep the default row.
+
+        The columns r = g t ... of a stem are grouped by g: ``first`` = hj^-1 g
+        and its coset test depend on (hj, g) alone, so each is made once per
+        row and group, and only the columns of passing groups are multiplied.
         """
-        # Columns without t^-1 by the parts h0..h(i-1) of a leading
-        # h0 t ... h(i-1) t: in ``level`` when only a base part follows.
-        level: dict[tuple, list[int]] = {}
-        above: dict[tuple, list[int]] = {}
-        for c, (parts, eps) in enumerate(ys):
-            if -1 not in eps:
-                level.setdefault(parts[:-1], []).append(c)
-                for i in range(len(eps)):
-                    above.setdefault(parts[:i], []).append(c)
+        # Columns without t^-1 by the prefixes of their stem h0 t ... h(i-1) t.
+        index = prefix_index((c, parts[:-1]) for c, (parts, eps) in enumerate(ys) if -1 not in eps)
         stems: dict[tuple, list[int]] = {}
         signed = []
         for r, (parts, eps) in enumerate(xs):
             (signed if -1 in eps else stems.setdefault(parts[:-1], [])).append(r)
         out = np.zeros((len(xs), len(ys)), dtype=bool)
         out[signed] = super().order_matrix([xs[r] for r in signed], ys)
-        part_mul, rep_positive = self._part_mul, self._rep_positive
+        part_mul, part_inv, rep_positive, extend = self._part_mul, self._part_inv, self._rep_positive, self._extend
         for stem, rows in stems.items():
             j, tails = len(stem), [xs[r][0][-1] for r in rows]
-            if stem in level:  # r is a base part
-                cols = level[stem]
-                out[np.ix_(rows, cols)] = self._part_order(tails, [ys[c][0][j] for c in cols])
+            level, above = [], {}  # r a base part; r = g t ... by g
+            for c in index.get(stem, ()):
+                y_parts = ys[c][0]
+                if len(y_parts) == j + 1:
+                    level.append(c)
+                else:
+                    above.setdefault(y_parts[j], []).append(c)
+            if level:
+                out[np.ix_(rows, level)] = self._part_order(tails, [ys[c][0][j] for c in level])
             for r, tail in zip(rows, tails):
-                tail_inv = self._part_inv(tail)
-                for c in above.get(stem, ()):
-                    y_parts, y_eps = ys[c]
-                    first = part_mul(tail_inv, y_parts[j])
+                tail_inv = part_inv(tail)
+                for g, cols in above.items():
+                    first = part_mul(tail_inv, g)
                     if rep_positive(first):
-                        out[r, c] = self.is_positive(self._extend([first], [], zip(y_eps[j:], y_parts[j + 1:])))
+                        for c in cols:
+                            y_parts, y_eps = ys[c]
+                            out[r, c] = self.is_positive(extend([first], [], zip(y_eps[j:], y_parts[j + 1:])))
         return out
 
     # -- heights, stems, joins ----------------------------------------------

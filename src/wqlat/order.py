@@ -17,7 +17,11 @@ oracle, and the weak-quasi-lattice violation scan.  The relation has one
 family hook, ``Presentation.order_matrix(xs, ys)``, the boolean matrix of ``x <= y``:
 by default one inverse per x and one product per pair, in the free groups
 and semidirect products numpy kernels, in the integers and direct sums
-array comparisons.  ``Ball.order()`` is the hook over the ball squared;
+array comparisons, in the stable-letter families by stem blocks whose
+longer columns are grouped by their part at the stem's length.  The
+search for a ball's elements is one ``mul`` per element and generator (on
+the stable-letter layer one base product when the generator is a base
+letter).  ``Ball.order()`` is the hook over the ball squared;
 ``Ball.leq_row(i)`` is its single row ``elements[i] <= .``, memoised until
 the matrix exists and served from it afterwards, so a ball holds one
 relation.  The oracle reads only the rows it needs, so large balls never
@@ -35,12 +39,16 @@ proof is in ``check_weak_ql``); after the bounded pairs are found it holds
 one n x n float32 matrix and one chunk of at most ``SCAN_CHUNK_CELLS``
 cells besides the relation.
 Every report that lists ball elements reads their names from
-``Ball.names``, the strings the ball was sorted by.
+``Ball.names``, the strings the ball was sorted by, made by one
+``canonical_strs(xs)`` call (by default one ``canonical_str`` per element;
+the stable-letter families print each distinct part once per call).
+``prefix_index`` is the one "stem prefix -> indices" map, read by
+``prefix_join_table`` and the stable-letter order.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -256,10 +264,7 @@ class Presentation:
 
         Exact where x <= z makes the stem of x a prefix of the stem of z.
         """
-        above: dict[tuple, list[int]] = {}  # stem s -> indices whose stem starts with s
-        for b, s in enumerate(stems):
-            for k in range(len(s) + 1):
-                above.setdefault(s[:k], []).append(b)
+        above = prefix_index(enumerate(stems))
         is_open = open_pairs(len(xs), rel)
         table = {}
         for a, s in enumerate(stems):
@@ -272,6 +277,10 @@ class Presentation:
 
     def canonical_str(self, x: Element) -> str:
         raise NotImplementedError
+
+    def canonical_strs(self, xs: Sequence[Element]) -> list[str]:
+        """``canonical_str`` of each of xs, in order: the names of a ball, made in one call."""
+        return [self.canonical_str(x) for x in xs]
 
     def parse(self, text: str) -> Element:
         raise NotImplementedError
@@ -356,7 +365,7 @@ class Ball:
     @classmethod
     def build(cls, pres: Presentation, radius: int, lengths: dict[Element, int]) -> "Ball":
         els = list(lengths)
-        keys = sorted((lengths[el], pres.canonical_str(el), k) for k, el in enumerate(els))
+        keys = sorted(zip(lengths.values(), pres.canonical_strs(els), range(len(els))))
         return cls(pres, radius, [els[k] for _, _, k in keys], [n for n, _, _ in keys], [s for _, s, _ in keys])
 
     def __len__(self) -> int:
@@ -401,6 +410,15 @@ class Ball:
             self._order.flags.writeable = False
             self._rows.clear()
         return self._order
+
+
+def prefix_index(stems: Iterable[tuple[int, tuple]]) -> dict[tuple, list[int]]:
+    """Each prefix p of the given (index, stem) pairs -> the indices whose stem starts with p, stem itself included."""
+    index: dict[tuple, list[int]] = {}
+    for b, s in stems:
+        for k in range(len(s) + 1):
+            index.setdefault(s[:k], []).append(b)
+    return index
 
 
 def open_pairs(n: int, rel: np.ndarray | None) -> np.ndarray:

@@ -156,6 +156,23 @@ class TestScanVerbs:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "argv, undecided",
+        [
+            (("hnn-:x,y@x,y", "--radius", "3", "--safe-radius", "2"), [{"truncated": 25}]),
+            (("bs:2,-3", "--radius", "6", "--safe-radius", "3", "--seed", "7"), [{"truncated": 29}]),
+            (("sd:nonexample", "--radius", "3", "--safe-radius", "1"), [{"join_inconclusive": 16}]),
+            (("bs:2,-3", "--radius", "8", "--max-radius", "8", "--safe-radius", "3"), []),
+        ],
+    )
+    def test_nica_verify_counts_its_undecided_pairs(self, capsys, argv, undecided):
+        # Truncated and join-inconclusive pairs are counted apart, one finding
+        # per nonzero count, and only they make the verdict inconclusive.
+        code, out, _ = run(capsys, "nica-verify", *argv, "--json")
+        report = json.loads(out)
+        assert report["findings"] == undecided
+        assert (code, report["verdict"]) == ((3, "inconclusive") if undecided else (0, "pass"))
+
     def test_demo_chain_pass(self, capsys):
         code, _, _ = run(capsys, "demo-chain", "bs:2,-3", "--n", "4")
         assert code == 0

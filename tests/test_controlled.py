@@ -168,6 +168,50 @@ class TestNegativeControl:
         assert report["ok"], report
 
 
+class TestHandMadeWitnesses:
+    """One negative control per failure kind, each on a witness built by hand at height 0.
+
+    The minimal-element check runs on bs:2,3, the chain checks on bs:2,-3.
+    In both the height-0 fiber of the radius-3 ball is e, b, b^2, b^3, a
+    chain; the family's own witness is kept at every other height.
+    """
+
+    NAMES = {"sigma": "bs:2,3", "lambda": "bs:2,-3"}
+
+    def check(self, kind, witness, depth=2):
+        pres = pres_of(self.NAMES[kind])
+        mor, ball = pres.morphism(), ball_of(self.NAMES[kind], 3)
+        family = pres.sigma_witness if kind == "sigma" else pres.lambda_witness
+
+        def hand_made(q, fiber):
+            return witness(pres) if q == 0 else family(q, fiber)
+
+        if kind == "sigma":
+            return check_sigma_axioms(mor, hand_made, ball)
+        return check_decreasing_cover(mor, hand_made, ball, depth)
+
+    def test_sigma_with_a_finite_join_fails_separation(self):
+        # e <= b: their join b is finite, so {e, b} separates nothing.
+        pres = pres_of(self.NAMES["sigma"])
+        e, b = pres.identity(), pres.parse("b")
+        report = self.check("sigma", lambda p: [e, b])
+        assert report["separation_failures"] == [(0, e, b)]
+        assert not report["ok"] and report["coverage_failures"] == []
+
+    def test_increasing_chain_fails_decrease(self):
+        # n -> b^n covers the fiber from its first entry but climbs.
+        report = self.check("lambda", lambda p: [("up", lambda n: p.parse(f"b^{n}"))], depth=3)
+        assert report["chain_failures"] == [(0, "up", n) for n in range(3)]
+        assert report["disjointness_failures"] == report["uncovered"] == []
+
+    def test_two_classes_below_one_element_fail_disjointness(self):
+        # Constant chains at e and at b: b, b^2 and b^3 lie above both.
+        pres = pres_of(self.NAMES["lambda"])
+        report = self.check("lambda", lambda p: [("e", lambda n: p.identity()), ("b", lambda n: p.parse("b"))])
+        assert report["disjointness_failures"] == [(0, pres.parse(f"b^{k}"), ["e", "b"]) for k in (1, 2, 3)]
+        assert report["chain_failures"] == report["uncovered"] == []
+
+
 class TestKernelCone:
     def test_bs_kernel_is_b_powers(self):
         pres = pres_of("bs:2,3")

@@ -237,13 +237,13 @@ def test_check_weak_ql_matches_reference(name, radius, cells, monkeypatch):
 
 @pytest.mark.parametrize("name", KERNEL_PRESETS)
 def test_ball_names_are_its_sort_keys(name, monkeypatch):
-    # One canonical_str per element, all of them made by the sort.
+    # One canonical_strs call naming every element, made by the sort.
     pres = get_presentation(name)
     calls = []
-    canonical = pres.canonical_str
-    monkeypatch.setattr(pres, "canonical_str", lambda x: calls.append(x) or canonical(x))
+    canonical = pres.canonical_strs
+    monkeypatch.setattr(pres, "canonical_strs", lambda xs: calls.append(list(xs)) or canonical(xs))
     ball = pres.enumerate_ball(3)
-    assert len(calls) == len(ball)
+    assert len(calls) == 1 and sorted(map(ball.position, calls[0])) == list(range(len(ball)))
     monkeypatch.undo()
     assert ball.names == tuple(pres.canonical_str(x) for x in ball)
     assert list(zip(ball.lengths, ball.names)) == sorted(zip(ball.lengths, ball.names))

@@ -3,7 +3,8 @@
 ``StableLetterCone.order_matrix``, on HNN extensions and Baumslag-Solitar
 groups of both signs, and every ``join_table`` override are compared with
 the unbound ``Presentation`` defaults, so an override cannot hide behind
-itself.  The slow reports of the commit before either hook existed are
+itself; so are the stable-letter ``mul`` of a base part, against the normal
+form of the letters, and ``canonical_strs``, against ``canonical_str``.  The slow reports of the commit before either hook existed are
 pinned in ``tests/golden.txt``.
 """
 
@@ -84,6 +85,52 @@ class TestHnnOrderMatrix:
             assert np.array_equal(pres.order_matrix([x], ys), default_order(pres, [x], ys))
         assert pres.order_matrix([], ys).shape == (0, len(ys))
         assert pres.order_matrix(xs, []).shape == (len(xs), 0)
+
+
+class TestOneStepForms:
+    """The one-step forms against the code they replace: the grouped order rows,
+    the base-part product and the batch of names."""
+
+    @pytest.mark.parametrize("name", ["hnn+:x,y@x,y", "hnn-:x,y@x,y", "hnn-:xy,x@x,y", "bs:2,3", "bs:2,-3"])
+    def test_grouped_rows_radius_5(self, name):
+        els = ball_of(name, 5).elements
+        assert np.array_equal(pres_of(name).order_matrix(els, els), default_order(pres_of(name), els, els))
+
+    @pytest.mark.parametrize("name", HNN_PRESETS)
+    def test_base_part_product(self, name):
+        # y without t-letters: one part product, the letters' normal form.
+        pres = pres_of(name)
+        xs = signed_elements(pres, 40, name) + list(ball_of(name, 3))
+        ys = [y for y in xs if not y[1]] + [pres.inv(y) for y in xs if not y[1]]
+        assert len(ys) > 4
+        for x in xs:
+            for y in ys:
+                assert pres.mul(x, y) == pres.normal_form(pres._letters(x) + pres._letters(y))
+
+    @pytest.mark.parametrize("name", README_PRESETS, ids=short)
+    def test_names_of_a_ball(self, name):
+        pres = get_presentation(name)
+        els = pres.enumerate_ball(4, cap=4).elements
+        assert pres.canonical_strs(els) == [pres.canonical_str(x) for x in els]
+
+    @pytest.mark.parametrize("name", HNN_PRESETS)
+    def test_names_of_signed_elements(self, name):
+        pres = get_presentation(name)
+        xs = signed_elements(pres, 60, name)
+        assert pres.canonical_strs(xs + xs[::-1]) == [pres.canonical_str(x) for x in xs + xs[::-1]]
+        assert pres.canonical_strs([]) == []
+        # The part memo is local to the call.
+        state = dict(vars(pres))
+        pres.canonical_strs(xs)
+        assert vars(pres) == state
+
+    def test_names_are_printed_by_each_presentation(self):
+        # The same parts name x, y words in one presentation and a, b words in the other.
+        xy, ab = get_presentation("hnn-:x,y@x,y"), get_presentation("hnn-:a,b@a,b")
+        els = ball_of("hnn-:x,y@x,y", 3).elements
+        for _ in range(2):
+            renamed = [name.replace("x", "a").replace("y", "b") for name in xy.canonical_strs(els)]
+            assert ab.canonical_strs(els) == renamed == [ab.canonical_str(x) for x in els]
 
 
 def default_table(pres, xs):
