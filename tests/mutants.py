@@ -42,7 +42,9 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
-CONTROLLED, ORDER, HNN, TOEPLITZ = (f"src/wqlat/{m}.py" for m in ("controlled", "order", "hnn", "toeplitz"))
+CONTROLLED, ORDER, HNN, TOEPLITZ, WORDS, BS, GRAPH, SD = (
+    f"src/wqlat/{m}.py" for m in ("controlled", "order", "hnn", "toeplitz", "words", "baumslag", "graphprod", "semidirect")
+)
 
 MUTANTS = (
     # The controlled-map axioms.
@@ -56,6 +58,9 @@ MUTANTS = (
     Mutant("chain-disjointness", CONTROLLED,
            "elif len(matched) > 1:", "elif len(matched) > 2:",
            ("tests/test_controlled.py",)),
+    Mutant("order-preservation", CONTROLLED,
+           "return [(els[i], els[j]) for i, j in zip(*np.nonzero(_order_breaks(mor, ball)[1]))]", "return []",
+           ("tests/test_controlled.py",)),
     Mutant("join-comparable-failures", CONTROLLED,
            "failed = {(min(i, j), max(i, j)) for i, j in np.argwhere(broken).tolist()}", "failed = set()",
            ("tests/test_closed_forms.py",)),
@@ -66,6 +71,12 @@ MUTANTS = (
     Mutant("nica-truncation-guard", TOEPLITZ,
            "if (up & ~rng).any():", "if False:",
            ("tests/test_nica_safe.py", "tests/test_toeplitz.py")),
+    Mutant("range-mask", TOEPLITZ,
+           "return up, np.array([q in ball for q in quotients], dtype=bool)", "return up, up.copy()",
+           ("tests/test_nica_safe.py", "tests/test_cli.py")),
+    Mutant("spanning-product", TOEPLITZ,
+           "left = pres.mul(p, pres.mul(pres.inv(q), v))", "left = pres.mul(p, v)",
+           ("tests/test_toeplitz.py",)),
     Mutant("matrix-unit-relation", TOEPLITZ,
            "if r1 == l2:", "if True:",
            ("tests/test_toeplitz.py", "tests/test_acceptance.py::test_criterion_7_matrix_units")),
@@ -77,6 +88,40 @@ MUTANTS = (
     Mutant("oracle-least-element", ORDER,
            "if ball.leq_row(z)[ubs].all():", "if ball.leq_row(z)[ubs].any():",
            ("tests/test_order_core.py", "tests/test_order_kernel.py")),
+    # One rule per family: positivity, the join, the order matrix.
+    Mutant("free-join-prefix", WORDS,
+           "if is_prefix(x, y):", "if False:",
+           ("tests/test_words.py", "tests/test_join_contract.py")),
+    Mutant("scarparo-cone", WORDS,
+           "return is_positive_word(x) and x[0] == (1, 1)", "return is_positive_word(x)",
+           ("tests/test_words.py",)),
+    Mutant("bs-positive-tail", BS,
+           "return exps[-1] >= 0", "return exps[-1] > 0",
+           ("tests/test_baumslag.py",)),
+    Mutant("stable-letter-join-stem", HNN,
+           "if n is None or not self.is_positive(self.stem(z)):", "if n is None:",
+           ("tests/test_baumslag.py", "tests/test_hnn.py")),
+    Mutant("graph-positive-syllables", GRAPH,
+           "return all(self.vertices[v].is_positive(g) for v, g in x)",
+           "return all(self.vertices[v].is_positive(g) for v, g in x[:1])",
+           ("tests/test_graphprod.py",)),
+    Mutant("graph-join-check", GRAPH,
+           "if x and y and not (self.leq(x, value) and self.leq(y, value)):", "if False:",
+           ("tests/test_graphprod.py",)),
+    Mutant("sd-positive-level", SD,
+           "return is_positive_word(x[0]) and x[1] >= 0", "return is_positive_word(x[0])",
+           ("tests/test_semidirect.py",)),
+    Mutant("sd-order-levels", SD,
+           "rows, cols = np.flatnonzero(row_levels == q), np.flatnonzero(col_levels >= q)",
+           "rows, cols = np.flatnonzero(row_levels == q), np.arange(len(ys))",
+           ("tests/test_semidirect.py", "tests/test_order_core.py")),
+    Mutant("levelwise-join-level", SD,
+           "return JoinResult.finite((word_join.value, max(x[1], y[1])))",
+           "return JoinResult.finite((word_join.value, min(x[1], y[1])))",
+           ("tests/test_semidirect.py",)),
+    Mutant("phi-ab-join-middle", SD,
+           "if any(exps[j] < m for j in range(1, k)):", "if False:",
+           ("tests/test_semidirect.py",)),
     # HNN positivity.
     Mutant("double-coset-least", HNN,
            "m, n = -(-a // len(w)), -(-negative_run(h[::-1]) // len(u))",

@@ -4,6 +4,7 @@ import pytest
 
 from wqlat.cli import main
 from wqlat.controlled import (
+    Morphism,
     check_decreasing_cover,
     check_join_preserving,
     check_order_preserving,
@@ -43,6 +44,13 @@ class TestBasicLaws:
         pres = pres_of(name)
         mor = pres.morphism()
         assert check_join_preserving(mor, ball_of(name, radius_for(pres)))["ok"]
+
+    def test_order_reversing_map_breaks_every_strict_pair(self):
+        # Negated length reverses the prefix order of free:2: each x < y is a failure, in ball order.
+        pres, ball = pres_of("free:2"), ball_of("free:2", 2)
+        mor = Morphism("negated length", pres, IntGroup(), lambda x: -len(x))
+        strict = [(x, y) for x in ball for y in ball if x != y and pres.leq(x, y)]
+        assert len(strict) == 10 and check_order_preserving(mor, ball) == strict
 
     def test_inconclusive_target_join_is_not_a_failure(self, tmp_path, capsys):
         # The nonexample's vertex has no structural join, so the target joins
