@@ -413,7 +413,7 @@ class Ball:
 
 
 def prefix_index(stems: Iterable[tuple[int, tuple]]) -> dict[tuple, list[int]]:
-    """Each prefix p of the given (index, stem) pairs -> the indices whose stem starts with p, stem itself included."""
+    """Each prefix p of the stems of the (index, stem) pairs -> the indices whose stem starts with p (or is p)."""
     index: dict[tuple, list[int]] = {}
     for b, s in stems:
         for k in range(len(s) + 1):

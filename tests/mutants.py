@@ -42,9 +42,8 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
-CONTROLLED, ORDER, HNN, TOEPLITZ, WORDS, BS, GRAPH, SD = (
-    f"src/wqlat/{m}.py" for m in ("controlled", "order", "hnn", "toeplitz", "words", "baumslag", "graphprod", "semidirect")
-)
+MODULES = ("controlled", "order", "hnn", "toeplitz", "words", "baumslag", "graphprod", "semidirect")
+CONTROLLED, ORDER, HNN, TOEPLITZ, WORDS, BS, GRAPH, SD = (f"src/wqlat/{m}.py" for m in MODULES)
 
 MUTANTS = (
     # The controlled-map axioms.

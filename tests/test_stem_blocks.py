@@ -4,8 +4,9 @@
 groups of both signs, and every ``join_table`` override are compared with
 the unbound ``Presentation`` defaults, so an override cannot hide behind
 itself; so are the stable-letter ``mul`` of a base part, against the normal
-form of the letters, and ``canonical_strs``, against ``canonical_str``.  The slow reports of the commit before either hook existed are
-pinned in ``tests/golden.txt``.
+form of the letters, and ``canonical_strs``, against ``canonical_str``.  The
+slow reports of the commit before either hook existed are pinned in
+``tests/golden.txt``.
 """
 
 import random
