@@ -1,8 +1,6 @@
 """Mutation sweep: named one-line mutants of ``src/``, each run against the tests that must kill it.
 
-    python tests/mutants.py            run every mutant
-    python tests/mutants.py NAME...    run the named ones
-    python tests/mutants.py --list     list the mutants and the equivalent ones
+    python tests/mutants.py
 
 A mutant is (name, file, old line, new line, tests).  The sweep copies
 ``src/``, ``tests/`` and ``bench/presets/`` into a temporary directory and
@@ -10,8 +8,10 @@ first runs the union of the listed tests there, unmutated: they must pass.
 Then, one mutant at a time, it replaces the one line of the copy whose text
 (indentation aside) is the old line by the new line at the same indentation,
 runs the mutant's tests with ``pytest -x`` and puts the line back.  The
-mutant is killed when they fail.  The working tree is never written, and no
-bytecode is cached, so a mutant never runs an earlier one's code.
+mutant is killed when they fail, or when they run past ``TIMEOUT_S``
+(reported as a timeout), so a mutant that makes a search loop cannot hold
+the sweep.  The working tree is never written, and no bytecode is cached,
+so a mutant never runs an earlier one's code.
 
 Equivalent mutants change no result, only what a run costs; they are listed
 with the reason and not run.
@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "bench/presets")
+TIMEOUT_S = 300
 
 
 class Mutant(NamedTuple):
@@ -163,10 +164,15 @@ def mutate(text: str, mutant: Mutant) -> str:
     return "\n".join(lines)
 
 
-def pytest(tree: Path, tests) -> int:
+def pytest(tree: Path, tests) -> int | None:
+    """The exit code of ``pytest -x`` on ``tests`` in ``tree``, None past ``TIMEOUT_S``."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-    return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    try:
+        return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                              timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def sweep(mutants) -> int:
@@ -180,7 +186,7 @@ def sweep(mutants) -> int:
         for part in COPIED:
             shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
         tests = sorted({t for m in mutants for t in m.tests})
-        if pytest(tree, tests):
+        if pytest(tree, tests) != 0:
             print(f"the unmutated tests fail: {' '.join(tests)}")
             return 2
         survivors = 0
@@ -189,31 +195,17 @@ def sweep(mutants) -> int:
             original = path.read_text()
             path.write_text(mutate(original, m))
             try:
-                killed = pytest(tree, m.tests) != 0
+                code = pytest(tree, m.tests)
             finally:
                 path.write_text(original)
-            survivors += not killed
-            print(f"{'killed' if killed else 'SURVIVED':8} {m.name}  ({m.file}; {' '.join(m.tests)})", flush=True)
+            survivors += code == 0
+            verdict = "SURVIVED" if code == 0 else "killed" if code is not None else "timeout"
+            print(f"{verdict:8} {m.name}  ({m.file}; {' '.join(m.tests)})", flush=True)
     for m, reason in EQUIVALENT:
         print(f"{'equal':8} {m.name}  ({m.file}): {reason}")
     print(f"{len(mutants) - survivors} of {len(mutants)} mutants killed, {len(EQUIVALENT)} listed as equivalent")
     return 1 if survivors else 0
 
 
-def main(argv: list[str]) -> int:
-    if argv == ["--list"]:
-        for m in MUTANTS:
-            print(f"{m.name}: {m.file}: {m.old!r} -> {m.new!r}")
-        for m, reason in EQUIVALENT:
-            print(f"{m.name} (equivalent): {m.file}: {m.old!r} -> {m.new!r}: {reason}")
-        return 0
-    by_name = {m.name: m for m in MUTANTS}
-    unknown = [name for name in argv if name not in by_name]
-    if unknown:
-        print(f"unknown mutant: {', '.join(unknown)}", file=sys.stderr)
-        return 64
-    return sweep([by_name[name] for name in argv] if argv else list(MUTANTS))
-
-
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(sweep(list(MUTANTS)))
