@@ -132,8 +132,10 @@ def _check_controlled(pres, args):
         for key in ("chain_failures", "disjointness_failures", "separation_failures"):
             if axioms[key]:
                 findings.append({key: len(axioms[key])})
+    if axioms["separation_inconclusive"]:
+        findings.append({"separation_inconclusive": axioms["separation_inconclusive"]})
     # Uncovered elements and undecided joins make a run inconclusive, never a violation.
-    failed = any(not f.keys() & {"hint", "join_inconclusive"} for f in findings)
+    failed = any(not f.keys() & {"hint", "join_inconclusive", "separation_inconclusive"} for f in findings)
     verdict = "violation" if failed else ("inconclusive" if findings else "pass")
     params = {"radius": args.radius, "mode": mode, "chain_depth": args.chain_depth, "morphism": mor.name}
     return params, findings, verdict

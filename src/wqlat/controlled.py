@@ -89,25 +89,41 @@ def check_join_preserving(mor: Morphism, ball: Ball) -> dict:
     return {"failures": failures, "inconclusive": inconclusive, "ok": not failures}
 
 
+def _separation(src: Presentation, xs: list, apart: Callable) -> tuple[list, int]:
+    """Pairs (i, j) of xs that must have an infinite join (``apart(i, j)``) but have a finite one; the undecided count.
+
+    The joins come from one ``join_table`` of xs; an inconclusive one is
+    counted, not a failure.
+    """
+    table = src.join_table(xs)
+    apart_pairs = [(i, j) for i, j in sorted(table) if apart(i, j)]
+    failures = [(i, j) for i, j in apart_pairs if not table[i, j].is_inconclusive]
+    return failures, len(apart_pairs) - len(failures)
+
+
 def check_sigma_axioms(mor: Morphism, witness: SigmaWitness, ball: Ball) -> dict:
     """Minimal-element axioms: fiber coverage from below, pairwise infinite joins.
 
-    Witnesses must be positive; their joins come from one ``join_table`` per fiber.
+    Witnesses must be positive; their joins come from one ``join_table`` per
+    fiber, and a pair whose join is undecided counts in
+    ``separation_inconclusive``, not as a failure.
     """
     coverage_failures = []
     separation_failures = []
+    separation_inconclusive = 0
     src = mor.source
     for q, members in sorted(fibers(mor, ball).items(), key=lambda kv: str(kv[0])):
         sigma = list(witness(q, members))
         src.require_positive(*sigma)
         covered = src.order_matrix(sigma, members).any(0)
         coverage_failures.extend((q, x) for x, hit in zip(members, covered) if not hit)
-        separation_failures.extend(
-            (q, sigma[i], sigma[j]) for i, j in sorted(src.join_table(sigma)) if sigma[i] != sigma[j]
-        )
+        failed, undecided = _separation(src, sigma, lambda i, j: sigma[i] != sigma[j])
+        separation_failures.extend((q, sigma[i], sigma[j]) for i, j in failed)
+        separation_inconclusive += undecided
     return {
         "coverage_failures": coverage_failures,
         "separation_failures": separation_failures,
+        "separation_inconclusive": separation_inconclusive,
         "ok": not coverage_failures and not separation_failures,
     }
 
@@ -118,12 +134,14 @@ def check_decreasing_cover(mor: Morphism, witness: LambdaWitness, ball: Ball, de
     Verifies the chains decrease, that every fiber element lies above some
     chain entry of exactly one class, and that elements of distinct classes
     have infinite join.  An uncovered element is flagged as needing a larger
-    depth rather than reported as a violation.
+    depth rather than reported as a violation, and a pair whose join is
+    undecided counts in ``separation_inconclusive``.
     """
     src = mor.source
     chain_failures = []
     disjointness_failures = []
     separation_failures = []
+    separation_inconclusive = 0
     uncovered = []
     for q, members in sorted(fibers(mor, ball).items(), key=lambda kv: str(kv[0])):
         classes = list(witness(q, members))
@@ -143,15 +161,16 @@ def check_decreasing_cover(mor: Morphism, witness: LambdaWitness, ball: Ball, de
                 disjointness_failures.append((q, x, [classes[c][0] for c in matched]))
             else:
                 assignment[k] = matched[0]
-        separation_failures.extend(
-            (q, members[i], members[j])
-            for i, j in sorted(src.join_table(members))
-            if i in assignment and j in assignment and assignment[i] != assignment[j]
+        failed, undecided = _separation(
+            src, members, lambda i, j: i in assignment and j in assignment and assignment[i] != assignment[j]
         )
+        separation_failures.extend((q, members[i], members[j]) for i, j in failed)
+        separation_inconclusive += undecided
     return {
         "chain_failures": chain_failures,
         "disjointness_failures": disjointness_failures,
         "separation_failures": separation_failures,
+        "separation_inconclusive": separation_inconclusive,
         "uncovered": uncovered,
         "increase_depth": bool(uncovered),
         "ok": not (chain_failures or disjointness_failures or separation_failures or uncovered),

@@ -42,8 +42,9 @@ Every report that lists ball elements reads their names from
 ``Ball.names``, the strings the ball was sorted by, made by one
 ``canonical_strs(xs)`` call (by default one ``canonical_str`` per element;
 the stable-letter families print each distinct part once per call).
-``prefix_index`` is the one "stem prefix -> indices" map, read by
-``prefix_join_table`` and the stable-letter order.
+``prefix_index`` is the one "stem prefix -> indices" map, read by the
+stable-letter order and by the pair mask of ``prefix_join_table``, which
+shares one pair loop, ``_join_pairs(xs, mask)``, with ``join_table``.
 """
 
 from __future__ import annotations
@@ -230,10 +231,13 @@ class Presentation:
         positive elements; families override it where the infinite pairs can
         be found in bulk.
         """
+        return self._join_pairs(xs, open_pairs(len(xs), rel))
+
+    def _join_pairs(self, xs: Sequence[Element], mask: np.ndarray) -> dict[tuple[int, int], JoinResult]:
+        """``{(i, j): _join(xs[i], xs[j])}`` over the pairs ``mask`` holds, infinite joins left out."""
         table = {}
-        for i, j in np.argwhere(open_pairs(len(xs), rel)).tolist():
-            r = self._join(xs[i], xs[j])
-            if not r.is_infinite:
+        for i, j in np.argwhere(mask).tolist():
+            if not (r := self._join(xs[i], xs[j])).is_infinite:
                 table[i, j] = r
         return table
 
@@ -265,15 +269,10 @@ class Presentation:
         Exact where x <= z makes the stem of x a prefix of the stem of z.
         """
         above = prefix_index(enumerate(stems))
-        is_open = open_pairs(len(xs), rel)
-        table = {}
+        extends = np.zeros((len(xs), len(xs)), dtype=bool)  # row a: the stems that extend stem a
         for a, s in enumerate(stems):
-            for b in above[s]:
-                if a <= b or len(stems[b]) > len(s):  # each pair once, from its shorter stem
-                    i, j = min(a, b), max(a, b)
-                    if is_open[i, j] and not (r := self._join(xs[i], xs[j])).is_infinite:
-                        table[i, j] = r
-        return table
+            extends[a, above[s]] = True
+        return self._join_pairs(xs, (extends | extends.T) & open_pairs(len(xs), rel))
 
     def canonical_str(self, x: Element) -> str:
         raise NotImplementedError

@@ -14,6 +14,7 @@ whole-ball shift, and compares one mask per shift.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -198,30 +199,23 @@ def matrix_units_check(ball: Ball, safe: SafeRegion, chains: list, n: int) -> di
 
     ``chains`` lists (label, chain) pairs from a decreasing-chain witness;
     the relations E_lr E_l'r' = delta_{r l'} E_lr' follow from the classes
-    having pairwise infinite joins.
+    having pairwise infinite joins.  Each shift and each of the L^2 units is
+    built once, and the L^4 relations are read off them.
     """
-    ops = {}
+    shifts = {}
     for label, chain in chains:
         s = chain(n)
         if not ball.pres.is_positive(s):
             raise PresentationError("chain entries must be positive")
-        t = toeplitz_op(ball, s)
-        ops[label] = (t, t.adjoint())
+        shifts[label] = toeplitz_op(ball, s)
     labels = [label for label, _ in chains]
+    units = {(l, r): shifts[l].compose(shifts[r].adjoint()) for l in labels for r in labels}
+    zero = PartialInjection.zero(len(ball))
     failures = []
-    for l1 in labels:
-        for r1 in labels:
-            e1 = ops[l1][0].compose(ops[r1][1])
-            for l2 in labels:
-                for r2 in labels:
-                    e2 = ops[l2][0].compose(ops[r2][1])
-                    got = e1.compose(e2).restrict(safe.indices)
-                    if r1 == l2:
-                        want = ops[l1][0].compose(ops[r2][1]).restrict(safe.indices)
-                    else:
-                        want = PartialInjection.zero(len(ball))
-                    if got != want:
-                        failures.append((l1, r1, l2, r2))
+    for l1, r1, l2, r2 in product(labels, repeat=4):
+        want = units[l1, r2].restrict(safe.indices) if r1 == l2 else zero
+        if units[l1, r1].compose(units[l2, r2]).restrict(safe.indices) != want:
+            failures.append((l1, r1, l2, r2))
     return {"ok": not failures, "failures": failures, "labels": labels, "n": n}
 
 

@@ -3,9 +3,10 @@
 Words are stored as tuples of signed letters ``(gen, sign)`` with ``gen`` a
 generator index and ``sign`` in ``{+1, -1}``, always freely reduced.  The
 empty tuple is the identity.  On top of the raw word algebra this module
-provides the prefix order of the free monoid and the cone
-``{e} | b * F+`` on two generators, both of which are exact weak
-quasi-lattices.
+provides the prefix order of the free monoid and Scarparo's cone
+``{e} | b * F+``, both of which are exact weak quasi-lattices.  The cone is
+a ``FreeGroup`` on a, b with its own positivity, order and join; every
+other operation is the free group's.
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ class FreeGroup(Presentation):
         return is_positive_word(x)
 
     def positive_witness(self, x: FWord):
-        return x if is_positive_word(x) else None
+        return x if self.is_positive(x) else None
 
     def order_matrix(self, xs: Sequence[FWord], ys: Sequence[FWord]) -> np.ndarray:
         """x <= y iff x^-1 y is a positive word: the kernel on the elements themselves."""
@@ -265,8 +266,8 @@ class CyclicFreeGroup(IntGroup):
         return letter_sum(parse_word(text, self.gen_names))
 
 
-class ScarparoCone(Presentation):
-    """The free group on a, b ordered by the cone {e} | b * F+.
+class ScarparoCone(FreeGroup):
+    """The free group ``FreeGroup(2, ("a", "b"))`` ordered by the cone {e} | b * F+.
 
     The cone is the free monoid on the infinite alphabet ``b a^k`` (k >= 0),
     so any two cone elements with a common upper bound are comparable and
@@ -277,35 +278,19 @@ class ScarparoCone(Presentation):
     name = "scarparo"
 
     def __init__(self):
-        self.free = FreeGroup(2, ("a", "b"))
-        self.n_gens = 2
-        self.gen_names = self.free.gen_names
+        super().__init__(2, ("a", "b"))
 
     def __repr__(self):
         return "ScarparoCone()"
-
-    def identity(self) -> FWord:
-        return EMPTY
-
-    def mul(self, x: FWord, y: FWord) -> FWord:
-        return self.free.mul(x, y)
-
-    def inv(self, x: FWord) -> FWord:
-        return word_inv(x)
 
     def is_positive(self, x: FWord) -> bool:
         if x == EMPTY:
             return True
         return is_positive_word(x) and x[0] == (1, 1)
 
-    def positive_witness(self, x: FWord):
-        return x if self.is_positive(x) else None
-
-    morphism = FreeGroup.morphism
-
-    # Cone order, not raw prefix order: x <= y needs x^-1 y in the cone.
+    # Cone order, not the prefix order: x <= y needs x^-1 y in the cone.
+    order_matrix = Presentation.order_matrix
     _join = Presentation.comparable_join
-    join_table = Presentation.comparable_join_table
 
     def positive_generators(self) -> list[FWord]:
         # The cone is not finitely generated; balls are enumerated directly.
@@ -324,12 +309,6 @@ class ScarparoCone(Presentation):
             elements.extend(word_mul(b, w) for w in positive_words(2, radius - 1))
         lengths = {el: len(el) for el in elements}
         return Ball.build(self, radius, lengths)
-
-    def canonical_str(self, x: FWord) -> str:
-        return format_word(x, self.gen_names)
-
-    def parse(self, text: str) -> FWord:
-        return self.free.parse(text)
 
 
 def format_word(x: FWord, gen_names: Sequence[str]) -> str:

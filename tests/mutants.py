@@ -49,8 +49,12 @@ CONTROLLED, ORDER, HNN, TOEPLITZ, WORDS, BS, GRAPH, SD = (f"src/wqlat/{m}.py" fo
 MUTANTS = (
     # The controlled-map axioms.
     Mutant("sigma-separation", CONTROLLED,
-           "(q, sigma[i], sigma[j]) for i, j in sorted(src.join_table(sigma)) if sigma[i] != sigma[j]",
-           "(q, sigma[i], sigma[j]) for i, j in sorted(src.join_table(sigma)) if False",
+           "failed, undecided = _separation(src, sigma, lambda i, j: sigma[i] != sigma[j])",
+           "failed, undecided = _separation(src, sigma, lambda i, j: False)",
+           ("tests/test_controlled.py",)),
+    Mutant("separation-undecided", CONTROLLED,
+           "failures = [(i, j) for i, j in apart_pairs if not table[i, j].is_inconclusive]",
+           "failures = apart_pairs",
            ("tests/test_controlled.py",)),
     Mutant("chain-decrease", CONTROLLED,
            "if not src.leq(chain(n + 1), chain(n)):", "if False:",
@@ -78,7 +82,8 @@ MUTANTS = (
            "left = pres.mul(p, pres.mul(pres.inv(q), v))", "left = pres.mul(p, v)",
            ("tests/test_toeplitz.py",)),
     Mutant("matrix-unit-relation", TOEPLITZ,
-           "if r1 == l2:", "if True:",
+           "want = units[l1, r2].restrict(safe.indices) if r1 == l2 else zero",
+           "want = units[l1, r2].restrict(safe.indices)",
            ("tests/test_toeplitz.py", "tests/test_acceptance.py::test_criterion_7_matrix_units")),
     # The ball order and its scans.
     Mutant("wql-two-bounds", ORDER,
@@ -88,6 +93,10 @@ MUTANTS = (
     Mutant("oracle-least-element", ORDER,
            "if ball.leq_row(z)[ubs].all():", "if ball.leq_row(z)[ubs].any():",
            ("tests/test_order_core.py", "tests/test_order_kernel.py")),
+    Mutant("prefix-mask", ORDER,
+           "return self._join_pairs(xs, (extends | extends.T) & open_pairs(len(xs), rel))",
+           "return self._join_pairs(xs, extends & open_pairs(len(xs), rel))",
+           ("tests/test_stem_blocks.py", "tests/test_closed_forms.py")),
     # One rule per family: positivity, the join, the order matrix.
     Mutant("free-join-prefix", WORDS,
            "if is_prefix(x, y):", "if False:",
@@ -95,6 +104,16 @@ MUTANTS = (
     Mutant("scarparo-cone", WORDS,
            "return is_positive_word(x) and x[0] == (1, 1)", "return is_positive_word(x)",
            ("tests/test_words.py",)),
+    Mutant("scarparo-order", WORDS,
+           "order_matrix = Presentation.order_matrix", "pass",
+           ("tests/test_words.py",)),
+    Mutant("scarparo-join", WORDS,
+           "_join = Presentation.comparable_join", "pass",
+           ("tests/test_words.py",)),
+    Mutant("free-order-kernel", WORDS,
+           "out[start:stop] = np.take_along_axis(negsuf[start:stop], k, axis=1) & possuf[cols, k]",
+           "out[start:stop] = possuf[cols, k]",
+           ("tests/test_words.py", "tests/test_order_kernel.py")),
     Mutant("bs-positive-tail", BS,
            "return exps[-1] >= 0", "return exps[-1] > 0",
            ("tests/test_baumslag.py",)),
@@ -108,6 +127,10 @@ MUTANTS = (
     Mutant("graph-join-check", GRAPH,
            "if x and y and not (self.leq(x, value) and self.leq(y, value)):", "if False:",
            ("tests/test_graphprod.py",)),
+    Mutant("graph-order-quotient", GRAPH,
+           "return (positive(push(list(xi), y)) for y in ys)",
+           "return (positive(push(list(xi), y[:1])) for y in ys)",
+           ("tests/test_graphprod.py", "tests/test_order_core.py")),
     Mutant("sd-positive-level", SD,
            "return is_positive_word(x[0]) and x[1] >= 0", "return is_positive_word(x[0])",
            ("tests/test_semidirect.py",)),

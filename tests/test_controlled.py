@@ -14,7 +14,7 @@ from wqlat.controlled import (
 from wqlat.order import IntGroup, PresentationError
 from wqlat.presets import get_presentation
 
-from conftest import ball_of, fiber_of, pres_of
+from conftest import ROOT, ball_of, fiber_of, pres_of
 
 SIGMA_PRESETS = ["free:2", "scarparo", "bs:2,3", "hnn+:x,y@x,y", "graph:path3", "sd:swap2", "sd:phi-ab"]
 LAMBDA_PRESETS = ["bs:2,-3", "bs:1,-1", "hnn-:x,y@x,y"]
@@ -64,6 +64,23 @@ class TestBasicLaws:
         assert main(["check-controlled", f"graph:{path}", "--radius", "2", "--json"]) == 3
         out = json.loads(capsys.readouterr().out)
         assert (out["findings"], out["verdict"]) == ([{"join_inconclusive": 115}], "inconclusive")
+
+    def test_undecided_separation_join_is_not_a_failure(self, capsys):
+        # With no edge, the witnesses of the radius-2 free product hold three
+        # pairs whose join the nonexample vertex leaves undecided, such as
+        # [v0: a] [v1: a] and [v1: a] [v0: a]: both separation checks count
+        # them and fail none, and the report is inconclusive.
+        name = f"graph:{ROOT / 'tests' / 'nonexample_free_product.json'}"
+        pres = get_presentation(name)
+        mor, ball = pres.morphism(), pres.enumerate_ball(2)
+        assert pres.join(pres.parse("[v0: a] [v1: a]"), pres.parse("[v1: a] [v0: a]")).is_inconclusive
+        for report in (check_sigma_axioms(mor, pres.sigma_witness, ball),
+                       check_decreasing_cover(mor, pres.lambda_witness, ball, 6)):
+            assert (report["separation_failures"], report["separation_inconclusive"], report["ok"]) == ([], 3, True)
+        for mode in ("sigma", "lambda"):
+            assert main(["check-controlled", name, "--radius", "2", "--mode", mode, "--json"]) == 3
+            out = json.loads(capsys.readouterr().out)
+            assert out["findings"] == [{"join_inconclusive": 154}, {"separation_inconclusive": 3}]
 
     def test_hnn_plus_join_preservation_is_decided(self):
         pres = pres_of("hnn+:x,y@x,y")
