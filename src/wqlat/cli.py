@@ -155,14 +155,23 @@ def _sample_size(spec: str) -> int | None:
     raise PresentationError(f"--pairs must be 'all' or 'sample:k' with k >= 0, got {spec!r}")
 
 
+def _pairs(indices: tuple, k: int | None, seed: int) -> list[tuple[int, int]]:
+    """All pairs of ``indices`` in row order, or ``k`` of them drawn with ``seed``.
+
+    The draw is over positions in that order, not over a list of the pairs:
+    ``random.sample`` reads only the length of its population, so it picks
+    the pairs a draw from the list would pick.
+    """
+    n = len(indices)
+    draws = range(n * n) if k is None else random.Random(seed).sample(range(n * n), min(k, n * n))
+    return [(indices[i // n], indices[i % n]) for i in draws]
+
+
 def _nica_verify(pres, args):
     k = _sample_size(args.pairs)
     ball = _ball(pres, args)
     safe = SafeRegion.of(ball, args.safe_radius)
-    pairs = [(a, b) for a in safe.indices for b in safe.indices]
-    if k is not None:
-        rng = random.Random(args.seed)
-        pairs = rng.sample(pairs, min(k, len(pairs)))
+    pairs = _pairs(safe.indices, k, args.seed)
     findings = []
     # A truncated comparison says nothing either way (a larger enclosing
     # ball is needed), and neither does a pair whose join is undecided.

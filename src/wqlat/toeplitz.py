@@ -8,12 +8,13 @@ Comparisons are restricted to a safe region, a smaller concentric ball on
 which truncation cannot cut off the compositions under test; the checks
 read the presentation from the ball.  There the Nica check reads the
 range of T_z as "z^-1 p in the ball", with one inverse per shift and no
-whole-ball shift, and compares one mask per shift.
+whole-ball shift; the masks of each distinct shift are made once per safe
+region, which keeps them for every pair that shift enters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -123,10 +124,16 @@ class PartialInjection:
 
 @dataclass(frozen=True)
 class SafeRegion:
-    """Sub-ball of indices whose images under the operators stay in the ball."""
+    """Sub-ball of indices whose images under the operators stay in the ball.
+
+    It keeps the ball it was cut from and, for each shift z asked about,
+    the two masks of :func:`safe_masks`.
+    """
 
     radius: int
     indices: tuple
+    ball: Ball = field(repr=False)
+    _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, ball: Ball, radius: int) -> "SafeRegion":
@@ -134,7 +141,14 @@ class SafeRegion:
             raise PresentationError("safe radius must be nonnegative")
         if radius > ball.radius:
             raise PresentationError("safe region cannot exceed the ball")
-        return cls(radius, tuple(ball.indices_within(radius)))
+        return cls(radius, tuple(ball.indices_within(radius)), ball)
+
+    def masks(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """``safe_masks(self.ball, self, z)``, made on the first call for each z."""
+        found = self._masks.get(z)
+        if found is None:
+            found = self._masks[z] = safe_masks(self.ball, self, z)
+        return found
 
 
 def toeplitz_op(ball: Ball, x) -> PartialInjection:
@@ -176,15 +190,16 @@ def check_nica(ball: Ball, safe: SafeRegion, x, y) -> dict:
     adjoint of T_z cuts off a positive quotient) unless the reverse holds
     too.  Past it the masks are equal, so ``ux & uy == uj`` is both forms.
     """
-    pres = ball.pres
-    join = pres.join(x, y)
+    if safe.ball is not ball:
+        raise ValueError("the safe region was cut from another ball")
+    join = ball.pres.join(x, y)
     if join.is_inconclusive:
         return {"verdict": "inconclusive", "join": join}
     for z in (x, y):
         ball.position(z)  # raises ElementOutsideBall off the ball
     above = []
     for z in [x, y] + ([join.value] if join.is_finite else []):
-        up, rng = safe_masks(ball, safe, z)
+        up, rng = safe.masks(z)
         if (up & ~rng).any():
             return {"verdict": "truncated", "join": join, "shift": z}
         above.append(up)

@@ -43,8 +43,8 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
-MODULES = ("controlled", "order", "hnn", "toeplitz", "words", "baumslag", "graphprod", "semidirect")
-CONTROLLED, ORDER, HNN, TOEPLITZ, WORDS, BS, GRAPH, SD = (f"src/wqlat/{m}.py" for m in MODULES)
+MODULES = ("controlled", "order", "hnn", "toeplitz", "words", "baumslag", "graphprod", "semidirect", "cli")
+CONTROLLED, ORDER, HNN, TOEPLITZ, WORDS, BS, GRAPH, SD, CLI = (f"src/wqlat/{m}.py" for m in MODULES)
 
 MUTANTS = (
     # The controlled-map axioms.
@@ -78,6 +78,13 @@ MUTANTS = (
     Mutant("range-mask", TOEPLITZ,
            "return up, np.array([q in ball for q in quotients], dtype=bool)", "return up, up.copy()",
            ("tests/test_nica_safe.py", "tests/test_cli.py")),
+    Mutant("nica-mask-key", TOEPLITZ,
+           "found = self._masks.get(z)", "found = next(iter(self._masks.values()), None)",
+           ("tests/test_nica_safe.py::test_one_comparison_matches_the_three_forms",)),
+    Mutant("nica-pair-index", CLI,
+           "return [(indices[i // n], indices[i % n]) for i in draws]",
+           "return [(indices[i // n], indices[i // n]) for i in draws]",
+           ("tests/test_nica_safe.py::test_pair_draw_by_position_matches_the_list_draw", "tests/test_golden.py")),
     Mutant("spanning-product", TOEPLITZ,
            "left = pres.mul(p, pres.mul(pres.inv(q), v))", "left = pres.mul(p, v)",
            ("tests/test_toeplitz.py",)),

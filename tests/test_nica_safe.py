@@ -5,14 +5,19 @@ z^-1 p over the safe region; these tests compare both masks with the
 whole-ball shift ``toeplitz_op(ball, z)`` and ``pres.leq`` and check that
 the check builds no whole-ball shift.  ``three_form_nica`` keeps the
 logical and operator forms that ``check_nica`` merged into one comparison,
-as the reference its verdicts are checked against.  The ``nica-verify``
-reports are pinned in ``tests/golden.txt``.
+as the reference its verdicts are checked against.  ``nica-verify`` makes
+the masks of each shift once per request and draws its pairs by position;
+both are checked here against the uncached ``safe_masks`` and a draw from
+the list of pairs.  The ``nica-verify`` reports are pinned in
+``tests/golden.txt``.
 """
+
+import random
 
 import numpy as np
 import pytest
 
-from wqlat import toeplitz
+from wqlat import cli, toeplitz
 from wqlat.presets import ACCEPTANCE_PRESETS
 from wqlat.toeplitz import SafeRegion, check_nica, safe_masks, toeplitz_op
 
@@ -96,3 +101,46 @@ def test_one_comparison_matches_the_three_forms(name, radius):
     for x in members:
         for y in members:
             assert check_nica(ball, safe, x, y) == three_form_nica(ball, safe, x, y)
+
+
+@pytest.mark.parametrize("argv,shifts", [
+    (("bs:2,3", "--pairs", "sample:48", "--seed", "5"), 20),
+    (("hnn-:x,y@x,y", "--pairs", "all", "--seed", "7"), 39),
+])
+def test_each_shift_masked_once_per_request(monkeypatch, capsys, argv, shifts):
+    calls = []
+
+    def spy(ball, safe, z):
+        calls.append(z)
+        return safe_masks(ball, safe, z)
+
+    monkeypatch.setattr(toeplitz, "safe_masks", spy)
+    common = ("--radius", "6", "--max-radius", "6", "--safe-radius", "3")
+    assert cli.main(["nica-verify", argv[0], *common, *argv[1:]]) == 0
+    capsys.readouterr()
+    assert len(calls) == len(set(calls)) == shifts
+
+
+def pairs_from_the_list(indices, k, seed):
+    """The draw ``nica-verify`` made from the list of all pairs: the reference for ``cli._pairs``."""
+    pairs = [(a, b) for a in indices for b in indices]
+    if k is None:
+        return pairs
+    return random.Random(seed).sample(pairs, min(k, len(pairs)))
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 7, 20])
+@pytest.mark.parametrize("k", [None, 0, 1, 5, 48, 400, 1000])
+def test_pair_draw_by_position_matches_the_list_draw(n, k):
+    indices = tuple(range(3, 3 + 2 * n, 2))  # not 0..n-1, so a position is not an index
+    for seed in (0, 2, 5, 27532):
+        assert cli._pairs(indices, k, seed) == pairs_from_the_list(indices, k, seed)
+
+
+def test_check_nica_refuses_a_region_of_another_ball():
+    pres = pres_of("free:2")
+    ball, twin = ball_of("free:2", 3), pres.enumerate_ball(3, cap=3)
+    a, b = pres.parse("a"), pres.parse("b")
+    assert check_nica(ball, SafeRegion.of(ball, 2), a, b)["verdict"] == "pass"
+    with pytest.raises(ValueError, match="another ball"):
+        check_nica(ball, SafeRegion.of(twin, 2), a, b)
