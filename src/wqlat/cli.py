@@ -177,9 +177,9 @@ def _nica_verify(pres, args):
     # ball is needed), and neither does a pair whose join is undecided.
     undecided = {"truncated": 0, "join_inconclusive": 0}
     for a, b in pairs:
-        result = check_nica(ball, safe, ball.elements[a], ball.elements[b])
+        result = check_nica(ball, safe, safe.elements[a], safe.elements[b])
         if result["verdict"] == "fail":
-            findings.append({"pair": [ball.names[a], ball.names[b]], "classification": "covariance failure"})
+            findings.append({"pair": [safe.names[a], safe.names[b]], "classification": "covariance failure"})
         elif result["verdict"] != "pass":
             undecided["truncated" if result["verdict"] == "truncated" else "join_inconclusive"] += 1
     findings.sort(key=lambda f: f["pair"])

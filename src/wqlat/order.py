@@ -39,9 +39,12 @@ proof is in ``check_weak_ql``); after the bounded pairs are found it holds
 one n x n float32 matrix and one chunk of at most ``SCAN_CHUNK_CELLS``
 cells besides the relation.
 Every report that lists ball elements reads their names from
-``Ball.names``, the strings the ball was sorted by, made by one
-``canonical_strs(xs)`` call (by default one ``canonical_str`` per element;
-the stable-letter families print each distinct part once per call).
+``Ball.names``, the strings the ball was sorted by.  They are made shell
+by shell on first read: ``Ball.core(r)`` names the shells of length <= r
+not yet named in one ``canonical_strs(xs)`` call (by default one
+``canonical_str`` per element; the stable-letter families print each
+distinct part once per call), so a full read is one call over the ball and
+a read of the core names the core alone.
 ``prefix_index`` is the one "stem prefix -> indices" map, read by the
 stable-letter order and by the pair mask of ``prefix_join_table``, which
 shares one pair loop, ``_join_pairs(xs, mask)``, with ``join_table``.
@@ -49,6 +52,7 @@ shares one pair loop, ``_join_pairs(xs, mask)``, with ``join_table``.
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -278,7 +282,7 @@ class Presentation:
         raise NotImplementedError
 
     def canonical_strs(self, xs: Sequence[Element]) -> list[str]:
-        """``canonical_str`` of each of xs, in order: the names of a ball, made in one call."""
+        """``canonical_str`` of each of xs, in order: the names of the shells a ball read names, in one call."""
         return [self.canonical_str(x) for x in xs]
 
     def parse(self, text: str) -> Element:
@@ -335,57 +339,98 @@ class Presentation:
                         new.append(y)
                         check_element_cap(len(lengths), radius)
             frontier = new
-        return Ball.build(self, radius, lengths)
+        return Ball(self, radius, lengths)
 
 
 class Ball:
     """Finite ordered stand-in for P: all elements of generator length <= radius.
 
+    The search's ``{element: length}`` map answers ``len`` and ``in``.
     Elements are sorted by (length, canonical string) so reports and indices
     are reproducible; ``names`` keeps those strings, aligned with
-    ``elements``.  The identity sits at index 0.  Besides the elements a
-    ball holds one thing, their order relation from the family's
-    ``order_matrix``: read by rows (``leq_row``, memoised) or whole
-    (``order()``); after ``order()`` the rows are its rows.
+    ``elements``.  The identity sits at index 0.  So the shells of length
+    <= r are a prefix of the ball, sorted by their own names: ``core(r)``
+    names and sorts them one shell at a time, on first read, and
+    ``elements``, ``names``, ``lengths`` and ``index`` read the whole
+    ``core(radius)``.  Besides the elements a ball holds one thing, their
+    order relation from the family's ``order_matrix``: read by rows
+    (``leq_row``, memoised) or whole (``order()``); after ``order()`` the
+    rows are its rows.
     """
 
-    def __init__(
-        self, pres: Presentation, radius: int, elements: Sequence[Element], lengths: Sequence[int], names: Sequence[str]
-    ):
+    def __init__(self, pres: Presentation, radius: int, lengths: dict[Element, int]):
         self.pres = pres
         self.radius = radius
-        self.elements = tuple(elements)
-        self.lengths = tuple(lengths)
-        self.names = tuple(names)
-        self.index = {el: i for i, el in enumerate(self.elements)}
+        self._length = lengths
+        self._sorted: list[Element] = []
+        self._names: list[str] = []
+        self._ends: list[int] = []  # _ends[n]: how many elements the named shells of length <= n hold
         self._rows: dict[int, np.ndarray] = {}
         self._order: np.ndarray | None = None
 
-    @classmethod
-    def build(cls, pres: Presentation, radius: int, lengths: dict[Element, int]) -> "Ball":
-        els = list(lengths)
-        keys = sorted(zip(lengths.values(), pres.canonical_strs(els), range(len(els))))
-        return cls(pres, radius, [els[k] for _, _, k in keys], [n for n, _, _ in keys], [s for _, s, _ in keys])
+    @functools.cached_property
+    def _shells(self) -> list[list[Element]]:
+        shells: list[list[Element]] = [[] for _ in range(self.radius + 1)]
+        for el, n in self._length.items():
+            shells[n].append(el)
+        return shells
+
+    def core(self, radius: int) -> tuple[tuple[Element, ...], tuple[str, ...]]:
+        """Elements and names of the shells of length <= radius: the first entries of ``elements`` and ``names``.
+
+        The shells up to radius not yet named are named in one
+        ``canonical_strs`` call, and each is sorted by its names.
+        """
+        r = min(radius, self.radius)
+        if r >= len(self._ends):
+            shells = self._shells[len(self._ends):r + 1]
+            fresh = [el for shell in shells for el in shell]
+            names = self.pres.canonical_strs(fresh)
+            start = 0
+            for shell in shells:
+                stop = start + len(shell)
+                by_name = sorted(range(start, stop), key=names.__getitem__)
+                self._sorted += [fresh[k] for k in by_name]
+                self._names += [names[k] for k in by_name]
+                self._ends.append(len(self._sorted))
+                start = stop
+        k = self._ends[r] if r >= 0 else 0
+        return tuple(self._sorted[:k]), tuple(self._names[:k])
+
+    @functools.cached_property
+    def elements(self) -> tuple[Element, ...]:
+        return self.core(self.radius)[0]
+
+    @functools.cached_property
+    def names(self) -> tuple[str, ...]:
+        return self.core(self.radius)[1]
+
+    @functools.cached_property
+    def lengths(self) -> tuple[int, ...]:
+        return tuple(map(self._length.__getitem__, self.elements))
+
+    @functools.cached_property
+    def index(self) -> dict[Element, int]:
+        return {el: i for i, el in enumerate(self.elements)}
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._length)
 
     def __iter__(self) -> Iterator[Element]:
         return iter(self.elements)
 
     def __contains__(self, el: Element) -> bool:
-        return el in self.index
+        return el in self._length
 
     def position(self, el: Element) -> int:
         try:
             return self.index[el]
         except KeyError:
-            raise ElementOutsideBall(
-                f"element {self.pres.canonical_str(el)} not in ball of radius {self.radius}"
-            ) from None
+            raise self.outside(el) from None
 
-    def indices_within(self, radius: int) -> list[int]:
-        return [i for i, n in enumerate(self.lengths) if n <= radius]
+    def outside(self, el: Element) -> ElementOutsideBall:
+        """The error for el, which the ball does not contain."""
+        return ElementOutsideBall(f"element {self.pres.canonical_str(el)} not in ball of radius {self.radius}")
 
     def leq_row(self, i: int) -> np.ndarray:
         """Read-only boolean row ``elements[i] <= elements[j]`` over j.

@@ -6,10 +6,13 @@ gathers, adjoints scatters, and range projections and restrictions masks,
 so every identity in scope holds exactly with no floating point.
 Comparisons are restricted to a safe region, a smaller concentric ball on
 which truncation cannot cut off the compositions under test; the checks
-read the presentation from the ball.  There the Nica check reads the
-range of T_z as "z^-1 p in the ball", with one inverse per shift and no
-whole-ball shift; the masks of each distinct shift are made once per safe
-region, which keeps them for every pair that shift enters.
+read the presentation from the ball.  The region is the ball's first
+indices, and it takes their elements and names from ``Ball.core``, so a
+check that reads only the region names only its shells.  There the Nica
+check reads the range of T_z as "z^-1 p in the ball", with one inverse
+per shift and no whole-ball shift; the masks of each distinct shift are
+made once per safe region, which keeps them for every pair that shift
+enters.
 """
 
 from __future__ import annotations
@@ -126,13 +129,17 @@ class PartialInjection:
 class SafeRegion:
     """Sub-ball of indices whose images under the operators stay in the ball.
 
-    It keeps the ball it was cut from and, for each shift z asked about,
-    the two masks of :func:`safe_masks`.
+    Its indices are the ball's first ones, the shells up to its radius:
+    it keeps their elements and names from ``ball.core(radius)``, the ball
+    it was cut from and, for each shift z asked about, the two masks of
+    :func:`safe_masks`.
     """
 
     radius: int
     indices: tuple
     ball: Ball = field(repr=False)
+    elements: tuple = field(repr=False, compare=False)
+    names: tuple = field(repr=False, compare=False)
     _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -141,7 +148,8 @@ class SafeRegion:
             raise PresentationError("safe radius must be nonnegative")
         if radius > ball.radius:
             raise PresentationError("safe region cannot exceed the ball")
-        return cls(radius, tuple(ball.indices_within(radius)), ball)
+        elements, names = ball.core(radius)
+        return cls(radius, tuple(range(len(elements))), ball, elements, names)
 
     def masks(self, z) -> tuple[np.ndarray, np.ndarray]:
         """``safe_masks(self.ball, self, z)``, made on the first call for each z."""
@@ -173,7 +181,7 @@ def safe_masks(ball: Ball, safe: SafeRegion, z) -> tuple[np.ndarray, np.ndarray]
     """Over safe p: z <= p (z^-1 p positive) and p in the range of T_z (z^-1 p in the ball)."""
     pres = ball.pres
     zi = pres.inv(z)
-    quotients = [pres.mul(zi, ball.elements[p]) for p in safe.indices]
+    quotients = [pres.mul(zi, p) for p in safe.elements]
     up = np.array([pres.is_positive(q) for q in quotients], dtype=bool)
     return up, np.array([q in ball for q in quotients], dtype=bool)
 
@@ -196,7 +204,8 @@ def check_nica(ball: Ball, safe: SafeRegion, x, y) -> dict:
     if join.is_inconclusive:
         return {"verdict": "inconclusive", "join": join}
     for z in (x, y):
-        ball.position(z)  # raises ElementOutsideBall off the ball
+        if z not in ball:
+            raise ball.outside(z)
     above = []
     for z in [x, y] + ([join.value] if join.is_finite else []):
         up, rng = safe.masks(z)

@@ -308,7 +308,7 @@ class ScarparoCone(FreeGroup):
             b = ((1, 1),)
             elements.extend(word_mul(b, w) for w in positive_words(2, radius - 1))
         lengths = {el: len(el) for el in elements}
-        return Ball.build(self, radius, lengths)
+        return Ball(self, radius, lengths)
 
 
 def format_word(x: FWord, gen_names: Sequence[str]) -> str:

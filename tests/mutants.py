@@ -92,6 +92,13 @@ MUTANTS = (
            "want = units[l1, r2].restrict(safe.indices) if r1 == l2 else zero",
            "want = units[l1, r2].restrict(safe.indices)",
            ("tests/test_toeplitz.py", "tests/test_acceptance.py::test_criterion_7_matrix_units")),
+    # The ball: its shells, named and sorted on first read.
+    Mutant("ball-core-slice", ORDER,
+           "k = self._ends[r] if r >= 0 else 0", "k = self._ends[r - 1] if r >= 1 else 0",
+           ("tests/test_order_kernel.py::test_core_is_a_prefix_of_the_ball", "tests/test_nica_safe.py")),
+    Mutant("ball-shell-order", ORDER,
+           "by_name = sorted(range(start, stop), key=names.__getitem__)", "by_name = range(start, stop)",
+           ("tests/test_order_kernel.py::test_ball_names_are_its_sort_keys", "tests/test_golden.py")),
     # The ball order and its scans.
     Mutant("wql-two-bounds", ORDER,
            "for r in np.flatnonzero(np.count_nonzero(minimal, axis=1) >= 2).tolist():",

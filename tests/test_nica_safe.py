@@ -12,13 +12,15 @@ the list of pairs.  The ``nica-verify`` reports are pinned in
 ``tests/golden.txt``.
 """
 
+import json
 import random
 
 import numpy as np
 import pytest
 
 from wqlat import cli, toeplitz
-from wqlat.presets import ACCEPTANCE_PRESETS
+from wqlat.order import JoinResult
+from wqlat.presets import ACCEPTANCE_PRESETS, get_presentation
 from wqlat.toeplitz import SafeRegion, check_nica, safe_masks, toeplitz_op
 
 from conftest import ball_of, pres_of
@@ -144,3 +146,36 @@ def test_check_nica_refuses_a_region_of_another_ball():
     assert check_nica(ball, SafeRegion.of(ball, 2), a, b)["verdict"] == "pass"
     with pytest.raises(ValueError, match="another ball"):
         check_nica(ball, SafeRegion.of(twin, 2), a, b)
+
+
+def test_covariance_failure_is_named_and_sorted(monkeypatch, capsys):
+    # No preset's join is wrong, so a wrong one is patched in: x v y := x
+    # fails on the safe region exactly when y <= x fails (x is safe).
+    name, seed, k = "hnn-:x,y@x,y", 7, 40
+    pres = get_presentation(name)
+    monkeypatch.setattr(pres, "join", lambda x, y: JoinResult.finite(x))
+    monkeypatch.setattr(cli, "get_presentation", lambda preset: pres)
+    argv = ["nica-verify", name, "--radius", "6", "--max-radius", "6", "--safe-radius", "3",
+            "--pairs", f"sample:{k}", "--seed", str(seed), "--json"]
+    assert cli.main(argv) == cli.EXIT_VIOLATION
+    findings = json.loads(capsys.readouterr().out)["findings"]
+    ball = pres.enumerate_ball(6, cap=6)
+    sampled = [(ball.elements[a], ball.elements[b]) for a, b in cli._pairs(SafeRegion.of(ball, 3).indices, k, seed)]
+    want = [[pres.canonical_str(x), pres.canonical_str(y)] for x, y in sampled if not pres.leq(y, x)]
+    assert 0 < len(want) < k
+    assert [f["pair"] for f in findings] == sorted(want)  # the names, and in order
+    assert {f["classification"] for f in findings} == {"covariance failure"}
+
+
+def test_nica_verify_names_only_its_safe_region(monkeypatch, capsys):
+    # 39 elements of length <= 3 out of the 952 of the radius-6 ball.
+    pres = get_presentation("hnn-:x,y@x,y")
+    named = []
+    canonical = pres.canonical_strs
+    monkeypatch.setattr(pres, "canonical_strs", lambda xs: named.extend(xs) or canonical(xs))
+    monkeypatch.setattr(cli, "get_presentation", lambda preset: pres)
+    argv = ["nica-verify", "hnn-:x,y@x,y", "--radius", "6", "--max-radius", "6", "--safe-radius", "3",
+            "--pairs", "sample:3"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(named) == len(set(named)) == 39

@@ -237,16 +237,40 @@ def test_check_weak_ql_matches_reference(name, radius, cells, monkeypatch):
 
 @pytest.mark.parametrize("name", KERNEL_PRESETS)
 def test_ball_names_are_its_sort_keys(name, monkeypatch):
-    # One canonical_strs call naming every element, made by the sort.
+    # Names are made shell by shell on first read, each element once, in
+    # one canonical_strs call per read.
     pres = get_presentation(name)
     calls = []
     canonical = pres.canonical_strs
     monkeypatch.setattr(pres, "canonical_strs", lambda xs: calls.append(list(xs)) or canonical(xs))
     ball = pres.enumerate_ball(3)
-    assert len(calls) == 1 and sorted(map(ball.position, calls[0])) == list(range(len(ball)))
+    assert calls == []
+    els, names = ball.core(1)
+    assert ball.core(1) == (els, names) and len(calls) == 1
+    ball.names
+    assert len(calls) == 2
     monkeypatch.undo()
+    assert sorted(map(ball.position, calls[0])) == list(range(len(els)))
+    assert sorted(map(ball.position, calls[1])) == list(range(len(els), len(ball)))
+    assert max(ball.lengths[:len(els)]) <= 1 < min(ball.lengths[len(els):])
     assert ball.names == tuple(pres.canonical_str(x) for x in ball)
     assert list(zip(ball.lengths, ball.names)) == sorted(zip(ball.lengths, ball.names))
+
+
+# The largest balls of the bench.
+LARGE_BALLS = [("hnn-:x,y@x,y", 6), ("sd:nonexample", 5), ("graph:path3", 6)]
+
+
+@pytest.mark.parametrize("name, radius", [(n, 3) for n in KERNEL_PRESETS] + LARGE_BALLS)
+def test_core_is_a_prefix_of_the_ball(name, radius):
+    pres, whole = pres_of(name), ball_of(name, radius)
+    stepped = pres.enumerate_ball(radius, cap=radius)  # read one radius more each time
+    for r in range(radius + 1):
+        k = sum(n <= r for n in whole.lengths)
+        want = (whole.elements[:k], whole.names[:k])
+        assert stepped.core(r) == want
+        assert pres.enumerate_ball(radius, cap=radius).core(r) == want  # read at once
+    assert stepped.elements == whole.elements and stepped.names == whole.names
 
 
 def oracle_join_minimal_set(ball, x, y):
