@@ -34,7 +34,10 @@ from .order import DirectSum, JoinResult, Presentation, PresentationError
 
 GpElement = tuple  # tuple[tuple[int, Element], ...]
 
-_SYLLABLE_RE = re.compile(r"\[\s*v(\d+)\s*:\s*([^\]]*)\]")
+_SYLLABLE = r"\[\s*v(\d+)\s*:\s*([^\]]*)\]"
+_SYLLABLE_RE = re.compile(_SYLLABLE)
+# Syllables with blank text around and between them.
+_SYLLABLE_TEXT_RE = re.compile(rf"\s*(?:{_SYLLABLE}\s*)*")
 
 
 class Graph:
@@ -201,18 +204,12 @@ class GraphProduct(Presentation):
         stripped = text.strip()
         if stripped == "e":
             return ()
-        # One pass: the text between syllables must be blank.  Malformed text
-        # is reported before a bad vertex id, so vertices are read after it.
-        tokens, end = [], 0
-        for m in _SYLLABLE_RE.finditer(stripped):
-            if stripped[end:m.start()].strip():
-                break
-            tokens.append(m.groups())
-            end = m.end()
-        if stripped[end:].strip():
+        # Malformed text is reported before a bad vertex id, so vertices are
+        # read only once the whole text is syllables.
+        if not _SYLLABLE_TEXT_RE.fullmatch(stripped):
             raise PresentationError(f"malformed syllable text {text!r}; expected [vI: word] tokens")
         syllables = []
-        for v_text, word in tokens:
+        for v_text, word in _SYLLABLE_RE.findall(stripped):
             v = int(v_text)
             self._check_vertex(v)
             syllables.append((v, self.vertices[v].parse(word.strip())))

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import re
 import string
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .controlled import Morphism
-from .order import EXPONENT_CAP, IntGroup, JoinResult, Presentation, PresentationError, check_letter_cap
+from .order import EXPONENT_CAP, LETTER_CAP, IntGroup, JoinResult, Presentation, PresentationError, check_letter_cap
 
 FWord = tuple  # tuple[tuple[int, int], ...]
 
@@ -327,25 +328,53 @@ def format_word(x: FWord, gen_names: Sequence[str]) -> str:
     return " ".join(parts)
 
 
+@lru_cache(maxsize=256)
+def _token_table(gen_names: tuple[str, ...]) -> dict[str, tuple]:
+    """The letters of each token that needs no exponent: ``name``, ``name^-1`` and ``e``.
+
+    The first of equal names wins, as with ``gen_names.index``; a name holding
+    ``^`` is never a token's name, and ``e`` is the identity even when it is
+    also a name (``e^1`` and ``e^-1`` still name the letter).
+    """
+    table = {}
+    for i, name in reversed(tuple(enumerate(gen_names))):
+        if "^" not in name:
+            table[name], table[f"{name}^-1"] = ((i, 1),), ((i, -1),)
+    table["e"] = ()
+    return table
+
+
+def _power_letters(token: str, gen_names: Sequence[str], count: int) -> list[tuple[int, int]]:
+    """The letters of a token ``name^k``, read after ``count`` letters; every error of the grammar."""
+    name, caret, exp_text = token.partition("^")
+    try:
+        idx = gen_names.index(name)
+    except ValueError:
+        raise PresentationError(f"unknown generator {name!r}") from None
+    exp = 1
+    if caret:
+        exp = int(exp_text) if _SHORT_EXPONENT.fullmatch(exp_text) else None
+        if exp is None or abs(exp) > EXPONENT_CAP:
+            if not _EXPONENT.fullmatch(exp_text):
+                raise PresentationError(f"malformed exponent in token {token!r}")
+            raise PresentationError(f"exponent in token {token!r} exceeds {EXPONENT_CAP}")
+    check_letter_cap(count + abs(exp))
+    return [(idx, 1 if exp >= 0 else -1)] * abs(exp)
+
+
 def parse_word(text: str, gen_names: Sequence[str]) -> list[tuple[int, int]]:
-    """Parse the shared grammar into raw signed letters (not yet reduced)."""
+    """Parse the shared grammar into raw signed letters (not yet reduced).
+
+    ``e``, ``name`` and ``name^-1`` are read from the alphabet's token table;
+    any other token takes the exponent path, which raises every error.
+    """
+    table = _token_table(tuple(gen_names))
     letters: list[tuple[int, int]] = []
     for token in text.split():
-        if token == "e":
-            continue
-        name, caret, exp_text = token.partition("^")
-        try:
-            idx = gen_names.index(name)
-        except ValueError:
-            raise PresentationError(f"unknown generator {name!r}") from None
-        exp = 1
-        if caret:
-            exp = int(exp_text) if _SHORT_EXPONENT.fullmatch(exp_text) else None
-            if exp is None or abs(exp) > EXPONENT_CAP:
-                if not _EXPONENT.fullmatch(exp_text):
-                    raise PresentationError(f"malformed exponent in token {token!r}")
-                raise PresentationError(f"exponent in token {token!r} exceeds {EXPONENT_CAP}")
-        check_letter_cap(len(letters) + abs(exp))
-        sign = 1 if exp >= 0 else -1
-        letters.extend([(idx, sign)] * abs(exp))
+        found = table.get(token)
+        if found is None:
+            found = _power_letters(token, gen_names, len(letters))
+        elif len(letters) >= LETTER_CAP and found:
+            check_letter_cap(len(letters) + 1)
+        letters += found
     return letters

@@ -128,6 +128,23 @@ MUTANTS = (
            "out[start:stop] = np.take_along_axis(negsuf[start:stop], k, axis=1) & possuf[cols, k]",
            "out[start:stop] = possuf[cols, k]",
            ("tests/test_words.py", "tests/test_order_kernel.py")),
+    # The element grammar: the alphabet's token table and the graph syllable text.
+    Mutant("token-table-inverse-sign", WORDS,
+           'table[name], table[f"{name}^-1"] = ((i, 1),), ((i, -1),)',
+           'table[name], table[f"{name}^-1"] = ((i, 1),), ((i, 1),)',
+           ("tests/test_words.py",)),
+    Mutant("token-table-identity-first", WORDS,
+           'table["e"] = ()', 'table.setdefault("e", ())',
+           ("tests/test_words.py::TestOddAlphabets",)),
+    Mutant("token-table-caret-names", WORDS,
+           'if "^" not in name:', "if True:",
+           ("tests/test_words.py::TestOddAlphabets",)),
+    Mutant("token-table-letter-cap", WORDS,
+           "elif len(letters) >= LETTER_CAP and found:", "elif False:",
+           ("tests/test_words.py::TestLetterCap::test_parsed_letters_are_counted_across_tokens",)),
+    Mutant("graph-syllable-text", GRAPH,
+           "if not _SYLLABLE_TEXT_RE.fullmatch(stripped):", "if False:",
+           ("tests/test_graphprod.py",)),
     Mutant("bs-positive-tail", BS,
            "return exps[-1] >= 0", "return exps[-1] > 0",
            ("tests/test_baumslag.py",)),

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -6,7 +7,7 @@ from wqlat.graphprod import Graph, GraphProduct
 from wqlat.order import DirectSum, IntGroup, JoinResult, PresentationError, oracle_join
 from wqlat.words import FreeGroup
 
-from conftest import ball_of, pres_of
+from conftest import SQUARE4, ball_of, pres_of
 
 PATH3 = pres_of("graph:path3")
 NOEDGE = pres_of("graph:noedge2")
@@ -242,6 +243,64 @@ class TestGrammar:
     def test_malformed_text_before_a_bad_vertex(self, text):
         with pytest.raises(PresentationError, match="malformed syllable text"):
             PATH3.parse(text)
+
+
+_SYLLABLE_RE = re.compile(r"\[\s*v(\d+)\s*:\s*([^\]]*)\]")
+
+
+def parse_reference(pres, text):
+    """Graph element text read by the syllable loop that checked each gap, as before the whole-text check."""
+    stripped = text.strip()
+    if stripped == "e":
+        return ()
+    tokens, end = [], 0
+    for m in _SYLLABLE_RE.finditer(stripped):
+        if stripped[end:m.start()].strip():
+            break
+        tokens.append(m.groups())
+        end = m.end()
+    if stripped[end:].strip():
+        raise PresentationError(f"malformed syllable text {text!r}; expected [vI: word] tokens")
+    syllables = []
+    for v_text, word in tokens:
+        v = int(v_text)
+        pres._check_vertex(v)
+        syllables.append((v, pres.vertices[v].parse(word.strip())))
+    return pres.canon(syllables)
+
+
+def parsed(parse, text):
+    try:
+        return parse(text)
+    except PresentationError as err:
+        return f"error: {err}"
+
+
+FRAGMENTS = (
+    "[v0: a]", "[v1: a^-1]", "[v2: a^2 a^-1]", "[v1: e]", "[v3: a]", "[v9: a]", "[ v0 : a ]", "[v\u0661: a]",
+    "e", "junk", "x", "[", "]", "[v0:", "v1", ":", "a", " ", " ", "\n", "\t", "[v0: [v1: a]", "[v1: b]",
+)
+GRAPH_TEXTS = (
+    "", " ", "e", " e\n", "e e", "[v0: a] junk", "junk [v0: a]", "[v0: a] x [v1: a]", "[v0: a", "[v0: a] [v1: a",
+    "[v0: [v1: a]", "[v0: a] junk [v9: a]", "junk [v9: a]", "[v9: a] junk", "[v1: e]", "[v1: e] e",
+    "[v0: a]\n[v1: a^-1]\n", "\n[v2: a]\t[v0: a a]", "[v0:a][v1:a]", "[v0: a]]", "[[v0: a]", "[v9: a]",
+)
+
+
+class TestGrammarReference:
+    """The whole-text check reads every graph text as the syllable loop did, errors and messages included."""
+
+    @pytest.mark.parametrize("text", GRAPH_TEXTS)
+    def test_listed_texts(self, text):
+        for pres in (PATH3, pres_of(SQUARE4)):
+            assert parsed(pres.parse, text) == parsed(lambda t: parse_reference(pres, t), text)
+
+    def test_seeded_fragments_match_the_reference(self):
+        rng = random.Random(11)
+        for pres in (PATH3, pres_of(SQUARE4)):
+            for _ in range(3000):
+                text = rng.choice(("", " ")).join(rng.choice(FRAGMENTS) for _ in range(rng.randrange(7)))
+                assert parsed(pres.parse, text) == parsed(lambda t: parse_reference(pres, t), text), text
 
 
 class TestJsonConfig:

@@ -1,8 +1,11 @@
+import random
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wqlat.order import EXPONENT_CAP, LETTER_CAP, JoinResult, PresentationError, oracle_join
+from wqlat.order import EXPONENT_CAP, LETTER_CAP, JoinResult, PresentationError, check_letter_cap, oracle_join
 from wqlat.words import (
     EMPTY,
     FreeGroup,
@@ -14,7 +17,7 @@ from wqlat.words import (
     word_pow,
 )
 
-from conftest import ball_of
+from conftest import README_PRESETS, ball_of, pres_of, short
 
 F2 = FreeGroup(2, ("a", "b"))
 
@@ -76,6 +79,37 @@ class TestExponentGrammar:
         assert len(parse_word(f"a^-{EXPONENT_CAP}", ("a",))) == EXPONENT_CAP
 
 
+class TestOddAlphabets:
+    """Alphabets the library accepts but no preset uses, read as by the per-token grammar.
+
+    ``e`` is the identity even when it is also a generator name, while
+    ``e^k`` still names the letter; the first of equal names wins; and a
+    token's name ends at its first ``^``.
+    """
+
+    @pytest.mark.parametrize(
+        "text,alphabet,letters",
+        [
+            ("e", ("e",), []),
+            ("e^1", ("e",), [(0, 1)]),
+            ("e", ("e", "f"), []),
+            ("e e^-1", ("e", "f"), [(0, -1)]),
+            ("f e e^2 e", ("e", "f"), [(1, 1), (0, 1), (0, 1)]),
+        ],
+    )
+    def test_identity_ahead_of_the_alphabet(self, text, alphabet, letters):
+        assert parse_word(text, alphabet) == letters
+
+    def test_first_of_equal_names(self):
+        assert parse_word("a a^-1 a^2", ("a", "a")) == [(0, 1), (0, -1), (0, 1), (0, 1)]
+        assert FreeGroup(1, ("e",)).parse("e^2 e") == ((0, 1), (0, 1))
+
+    def test_a_name_holding_a_caret_is_never_read(self):
+        assert parse_word("a^1 a^-1", ("a^1", "a", "a^-1")) == [(1, 1), (1, -1)]
+        with pytest.raises(PresentationError, match="unknown generator 'b'"):
+            parse_word("b^c", ("b^c",))
+
+
 class TestLetterCap:
     """No word passes ``LETTER_CAP`` letters: parsed text and powers are refused before they are expanded."""
 
@@ -91,6 +125,98 @@ class TestLetterCap:
         for n in (LETTER_CAP // 2 + 1, -(10**30)):
             with pytest.raises(PresentationError, match=f"exceeds {LETTER_CAP}"):
                 word_pow(ab, n)
+
+
+_SHORT_EXPONENT = re.compile(r"-?0*[0-9]{1,6}")
+_EXPONENT = re.compile(r"-?[0-9]+")
+
+
+def parse_word_reference(text, gen_names):
+    """The grammar read one token at a time, as it was before the token table."""
+    letters = []
+    for token in text.split():
+        if token == "e":
+            continue
+        name, caret, exp_text = token.partition("^")
+        try:
+            idx = gen_names.index(name)
+        except ValueError:
+            raise PresentationError(f"unknown generator {name!r}") from None
+        exp = 1
+        if caret:
+            exp = int(exp_text) if _SHORT_EXPONENT.fullmatch(exp_text) else None
+            if exp is None or abs(exp) > EXPONENT_CAP:
+                if not _EXPONENT.fullmatch(exp_text):
+                    raise PresentationError(f"malformed exponent in token {token!r}")
+                raise PresentationError(f"exponent in token {token!r} exceeds {EXPONENT_CAP}")
+        check_letter_cap(len(letters) + abs(exp))
+        sign = 1 if exp >= 0 else -1
+        letters.extend([(idx, sign)] * abs(exp))
+    return letters
+
+
+def parsed(parse, text, alphabet):
+    """The letters ``parse`` reads, or the message of the ``PresentationError`` it raises."""
+    try:
+        return parse(text, alphabet)
+    except PresentationError as err:
+        return f"error: {err}"
+
+
+def alphabets(name):
+    """The alphabets a preset's element text is read in: its own, or each vertex group's."""
+    pres = pres_of(name)
+    vertices = getattr(pres, "vertices", None)
+    return [v.gen_names for v in vertices] if vertices is not None else [pres.gen_names]
+
+
+def random_token(rng, alphabet):
+    """Mostly ``name`` and ``name^-1``; then exponents, ``e``, unknown names and malformed exponents."""
+    name, kind = rng.choice(alphabet), rng.randrange(20)
+    if kind < 8:
+        return name
+    if kind < 12:
+        return f"{name}^-1"
+    if kind < 14:
+        return f"{name}^{rng.choice((0, 1, -1, 2, -3, '003', '-0', EXPONENT_CAP + 1, -EXPONENT_CAP - 1))}"
+    if kind == 14:
+        return f"{name}^{rng.choice((EXPONENT_CAP, -EXPONENT_CAP))}" if rng.random() < 0.2 else "e"
+    if kind < 17:
+        return rng.choice(("e", "e", "e^1", "e^-1", "z", "zz", name + name, name.upper(), "^1", "^-1"))
+    if kind < 19 and rng.random() < 0.5:
+        return name + rng.choice(("^", "^+1", "^1_0", "^\u0663", "^--1", "^-", "^1.0", "^^1", "^-\u0661", "^ 1"))
+    return name
+
+
+# Token streams that cross LETTER_CAP through single-letter tokens and through an exponent token.
+FULL = " ".join([f"a^{EXPONENT_CAP}"] * (LETTER_CAP // EXPONENT_CAP - 1))
+CAP_TEXTS = (
+    FULL + " a" * EXPONENT_CAP,
+    FULL + " a" * EXPONENT_CAP + " e b",
+    FULL + " a^-1" * EXPONENT_CAP + " a^-1",
+    FULL + " b" * (EXPONENT_CAP - 1) + " b^2",
+    FULL + " b" * (EXPONENT_CAP - 1) + " e a^1",
+    FULL + f" a^{EXPONENT_CAP} e",
+    FULL + f" a^-{EXPONENT_CAP} b",
+)
+
+
+class TestTokenTable:
+    """The token table reads every text as the per-token reference does, errors and their messages included."""
+
+    @pytest.mark.parametrize("name", README_PRESETS + ("free:1",), ids=short)
+    def test_seeded_stream_matches_the_reference(self, name):
+        rng = random.Random(f"token-table {short(name)}")
+        for alphabet in alphabets(name):
+            for _ in range(1500):
+                text = rng.choice((" ", "  ", "\t", "\n")).join(
+                    random_token(rng, alphabet) for _ in range(rng.randrange(9))
+                )
+                assert parsed(parse_word, text, alphabet) == parsed(parse_word_reference, text, alphabet), text
+
+    @pytest.mark.parametrize("text", CAP_TEXTS, ids=range(len(CAP_TEXTS)))
+    def test_letter_cap_matches_the_reference(self, text):
+        assert parsed(parse_word, text, ("a", "b")) == parsed(parse_word_reference, text, ("a", "b"))
 
 
 def reference_pow(x, n):
