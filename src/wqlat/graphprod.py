@@ -34,9 +34,12 @@ from .order import DirectSum, JoinResult, Presentation, PresentationError
 
 GpElement = tuple  # tuple[tuple[int, Element], ...]
 
-_SYLLABLE = r"\[\s*v(\d+)\s*:\s*([^\]]*)\]"
+# The word keeps its leading blanks (``parse`` strips them): a ``\s*`` after
+# the colon would let each syllable match in as many ways as it has blanks
+# there, and a failed whole-text match would try every combination.
+_SYLLABLE = r"\[\s*v(\d+)\s*:([^\]]*)\]"
 _SYLLABLE_RE = re.compile(_SYLLABLE)
-# Syllables with blank text around and between them.
+# Syllables with blank text around and between them; each matches one way.
 _SYLLABLE_TEXT_RE = re.compile(rf"\s*(?:{_SYLLABLE}\s*)*")
 
 

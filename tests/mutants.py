@@ -145,6 +145,9 @@ MUTANTS = (
     Mutant("graph-syllable-text", GRAPH,
            "if not _SYLLABLE_TEXT_RE.fullmatch(stripped):", "if False:",
            ("tests/test_graphprod.py",)),
+    Mutant("graph-syllable-one-way", GRAPH,
+           r'_SYLLABLE = r"\[\s*v(\d+)\s*:([^\]]*)\]"', r'_SYLLABLE = r"\[\s*v(\d+)\s*:\s*([^\]]*)\]"',
+           ("tests/test_graphprod.py::TestGrammarReference::test_long_malformed_text_fails_fast",)),
     Mutant("bs-positive-tail", BS,
            "return exps[-1] >= 0", "return exps[-1] > 0",
            ("tests/test_baumslag.py",)),

@@ -1,8 +1,13 @@
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wqlat
 from wqlat.graphprod import Graph, GraphProduct
 from wqlat.order import DirectSum, IntGroup, JoinResult, PresentationError, oracle_join
 from wqlat.words import FreeGroup
@@ -279,11 +284,13 @@ def parsed(parse, text):
 FRAGMENTS = (
     "[v0: a]", "[v1: a^-1]", "[v2: a^2 a^-1]", "[v1: e]", "[v3: a]", "[v9: a]", "[ v0 : a ]", "[v\u0661: a]",
     "e", "junk", "x", "[", "]", "[v0:", "v1", ":", "a", " ", " ", "\n", "\t", "[v0: [v1: a]", "[v1: b]",
+    "[v0:   a]", "[v1:\t \na ]", "[v2:  ]",
 )
 GRAPH_TEXTS = (
     "", " ", "e", " e\n", "e e", "[v0: a] junk", "junk [v0: a]", "[v0: a] x [v1: a]", "[v0: a", "[v0: a] [v1: a",
     "[v0: [v1: a]", "[v0: a] junk [v9: a]", "junk [v9: a]", "[v9: a] junk", "[v1: e]", "[v1: e] e",
     "[v0: a]\n[v1: a^-1]\n", "\n[v2: a]\t[v0: a a]", "[v0:a][v1:a]", "[v0: a]]", "[[v0: a]", "[v9: a]",
+    "[v0:   a]   [v1:  a^-1]", "[v0:  ]", "[v0:   a] [v1:  a] junk",
 )
 
 
@@ -301,6 +308,22 @@ class TestGrammarReference:
             for _ in range(3000):
                 text = rng.choice(("", " ")).join(rng.choice(FRAGMENTS) for _ in range(rng.randrange(7)))
                 assert parsed(pres.parse, text) == parsed(lambda t: parse_reference(pres, t), text), text
+
+    @pytest.mark.parametrize("tail", [" junk", " [v0: a"])
+    def test_long_malformed_text_fails_fast(self, tail):
+        # Each syllable must match the whole-text pattern in one way only;
+        # otherwise a failed match backtracks through 3^40 combinations.  A
+        # regex match cannot be interrupted, so it runs in a child process.
+        text = "[v0:  a] " * 40 + tail
+        script = (
+            "import sys; from wqlat.order import PresentationError; from wqlat.presets import get_presentation\n"
+            "try:\n    get_presentation('graph:path3').parse(sys.argv[1])\n"
+            "except PresentationError as err:\n    print(err)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(wqlat.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script, text], capture_output=True, text=True, env=env, timeout=30)
+        assert done.stdout.strip() == f"malformed syllable text {text!r}; expected [vI: word] tokens"
+        assert done.stdout.strip() == parsed(lambda t: parse_reference(PATH3, t), text)[len("error: "):]
 
 
 class TestJsonConfig:
