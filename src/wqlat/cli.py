@@ -155,29 +155,27 @@ def _sample_size(spec: str) -> int | None:
     raise PresentationError(f"--pairs must be 'all' or 'sample:k' with k >= 0, got {spec!r}")
 
 
-def _pairs(indices: tuple, k: int | None, seed: int) -> list[tuple[int, int]]:
-    """All pairs of ``indices`` in row order, or ``k`` of them drawn with ``seed``.
+def _pairs(n: int, k: int | None, seed: int) -> list[tuple[int, int]]:
+    """All pairs of ``0..n-1`` in row order, or ``k`` of them drawn with ``seed``.
 
     The draw is over positions in that order, not over a list of the pairs:
     ``random.sample`` reads only the length of its population, so it picks
     the pairs a draw from the list would pick.
     """
-    n = len(indices)
     draws = range(n * n) if k is None else random.Random(seed).sample(range(n * n), min(k, n * n))
-    return [(indices[i // n], indices[i % n]) for i in draws]
+    return [(i // n, i % n) for i in draws]
 
 
 def _nica_verify(pres, args):
     k = _sample_size(args.pairs)
-    ball = _ball(pres, args)
-    safe = SafeRegion.of(ball, args.safe_radius)
-    pairs = _pairs(safe.indices, k, args.seed)
+    safe = SafeRegion(_ball(pres, args), args.safe_radius)
+    pairs = _pairs(len(safe.elements), k, args.seed)
     findings = []
     # A truncated comparison says nothing either way (a larger enclosing
     # ball is needed), and neither does a pair whose join is undecided.
     undecided = {"truncated": 0, "join_inconclusive": 0}
     for a, b in pairs:
-        result = check_nica(ball, safe, safe.elements[a], safe.elements[b])
+        result = check_nica(safe, safe.elements[a], safe.elements[b])
         if result["verdict"] == "fail":
             findings.append({"pair": [safe.names[a], safe.names[b]], "classification": "covariance failure"})
         elif result["verdict"] != "pass":

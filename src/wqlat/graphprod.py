@@ -80,9 +80,11 @@ class GraphProduct(Presentation):
     def identity(self) -> GpElement:
         return ()
 
-    def _check_vertex(self, v: int) -> None:
+    def _check_vertex(self, v: int) -> int:
+        """``v``, once it is known to be a vertex id."""
         if not 0 <= v < self.graph.n_vertices:
             raise PresentationError(f"invalid vertex id {v}")
+        return v
 
     def _push(self, items: list, syllables) -> list:
         """Append ``syllables`` to the reduced list ``items``, keeping it reduced."""
@@ -135,12 +137,13 @@ class GraphProduct(Presentation):
         return self._shuffle(self._inverse_syllables(x))
 
     def is_positive(self, x: GpElement) -> bool:
-        return all(self.vertices[v].is_positive(g) for v, g in x)
+        return all(self.vertices[self._check_vertex(v)].is_positive(g) for v, g in x)
 
     def _above(self, x: GpElement, ys):
-        # x <= y iff x^-1 y is positive, read off its reduced, unshuffled form.
-        xi, push, positive = self._inverse_syllables(x), self._push, self.is_positive
-        return (positive(push(list(xi), y)) for y in ys)
+        # x <= y iff x^-1 y is positive, read off its reduced, unshuffled
+        # form; ``_push`` has checked its vertex ids.
+        xi, push, vertices = self._inverse_syllables(x), self._push, self.vertices
+        return (all(vertices[v].is_positive(g) for v, g in push(list(xi), y)) for y in ys)
 
     def leq(self, x: GpElement, y: GpElement) -> bool:
         return next(self._above(x, (y,)))
@@ -188,7 +191,7 @@ class GraphProduct(Presentation):
         """Componentwise image in the direct sum of the vertex groups."""
         comps = [p.identity() for p in self.vertices]
         for v, g in x:
-            comps[v] = self.vertices[v].mul(comps[v], g)
+            comps[v] = self.vertices[self._check_vertex(v)].mul(comps[v], g)
         return tuple(comps)
 
     def phi_target(self) -> DirectSum:
@@ -201,7 +204,7 @@ class GraphProduct(Presentation):
         return [((v, g),) for v, p in enumerate(self.vertices) for g in p.positive_generators()]
 
     def canonical_str(self, x: GpElement) -> str:
-        return " ".join(f"[v{v}: {self.vertices[v].canonical_str(g)}]" for v, g in x) or "e"
+        return " ".join(f"[v{v}: {self.vertices[self._check_vertex(v)].canonical_str(g)}]" for v, g in x) or "e"
 
     def parse(self, text: str) -> GpElement:
         stripped = text.strip()

@@ -88,17 +88,10 @@ class SemidirectProduct(Presentation):
 
     family = "semidirect"
 
-    def __init__(
-        self,
-        base: FreeGroup,
-        aut: FreeAutomorphism,
-        name: str | None = None,
-        metadata: dict | None = None,
-    ):
-        self.base = base
-        self.aut = aut
-        self.gen_names = base.gen_names + ("s",)
-        self.name = name or "sd:custom"
+    def __init__(self, aut: FreeAutomorphism, name: str, metadata: dict | None = None):
+        self.aut, self.base = aut, aut.base
+        self.gen_names = self.base.gen_names + ("s",)
+        self.name = name
         self.metadata = metadata or {}
         # phi^k images of nonempty words at k != 0, shared by every order test
         # of this product.
@@ -286,14 +279,14 @@ def swap2() -> SemidirectProduct:
     base = FreeGroup(2, ("a", "b"))
     a, b = ((A, 1),), ((B, 1),)
     aut = FreeAutomorphism(base, (b, a), (b, a))
-    return LevelwiseProduct(base, aut, name="sd:swap2")
+    return LevelwiseProduct(aut, name="sd:swap2")
 
 
 def perm3() -> SemidirectProduct:
     base = FreeGroup(3, ("a", "b", "c"))
     a, b, c = ((0, 1),), ((1, 1),), ((2, 1),)
     aut = FreeAutomorphism(base, (b, c, a), (c, a, b))
-    return LevelwiseProduct(base, aut, name="sd:perm3")
+    return LevelwiseProduct(aut, name="sd:perm3")
 
 
 def phi_ab() -> SemidirectProduct:
@@ -302,7 +295,7 @@ def phi_ab() -> SemidirectProduct:
     ab = word_mul(a, b)
     ab_inv = word_mul(a, word_inv(b))
     aut = FreeAutomorphism(base, (ab, b), (ab_inv, b))
-    return PhiAbProduct(base, aut, name="sd:phi-ab")
+    return PhiAbProduct(aut, name="sd:phi-ab")
 
 
 def nonexample() -> SemidirectProduct:
@@ -314,9 +307,8 @@ def nonexample() -> SemidirectProduct:
         (parse("b a"), parse("b^2 a")),
         (parse("a b^-1 a"), parse("b a^-1")),
     )
-    pres = SemidirectProduct(base, aut, name="sd:nonexample")
-    pres.metadata = {
+    metadata = {
         "witness_pair": ((parse("a"), 2), (parse("a b"), 1)),
         "witness_bounds": ((parse("a b^2 a b a"), 2), (parse("a b^2 a b^2 a b a"), 2)),
     }
-    return pres
+    return SemidirectProduct(aut, name="sd:nonexample", metadata=metadata)

@@ -6,7 +6,8 @@ gathers, adjoints scatters, and range projections and restrictions masks,
 so every identity in scope holds exactly with no floating point.
 Comparisons are restricted to a safe region, a smaller concentric ball on
 which truncation cannot cut off the compositions under test; the checks
-read the presentation from the ball.  The region is the ball's first
+take only the region, and read from it the ball it was cut from and the
+ball's presentation.  The region is the ball's first
 indices, and it takes their elements and names from ``Ball.core``, so a
 check that reads only the region names only its shells.  There the Nica
 check reads the range of T_z as "z^-1 p in the ball", with one inverse
@@ -17,7 +18,6 @@ enters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -125,37 +125,33 @@ class PartialInjection:
         return out
 
 
-@dataclass(frozen=True)
 class SafeRegion:
     """Sub-ball of indices whose images under the operators stay in the ball.
 
-    Its indices are the ball's first ones, the shells up to its radius:
-    it keeps their elements and names from ``ball.core(radius)``, the ball
-    it was cut from and, for each shift z asked about, the two masks of
-    :func:`safe_masks`.
+    Its indices are the ball's first ones, ``range(len(elements))``, the
+    shells up to its radius: it keeps their elements and names from
+    ``ball.core(radius)``, the ball it was cut from and, for each shift z
+    asked about, the two masks of :meth:`masks`.
     """
 
-    radius: int
-    indices: tuple
-    ball: Ball = field(repr=False)
-    elements: tuple = field(repr=False, compare=False)
-    names: tuple = field(repr=False, compare=False)
-    _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @classmethod
-    def of(cls, ball: Ball, radius: int) -> "SafeRegion":
+    def __init__(self, ball: Ball, radius: int):
         if radius < 0:
             raise PresentationError("safe radius must be nonnegative")
         if radius > ball.radius:
             raise PresentationError("safe region cannot exceed the ball")
-        elements, names = ball.core(radius)
-        return cls(radius, tuple(range(len(elements))), ball, elements, names)
+        self.ball, self.radius = ball, radius
+        self.elements, self.names = ball.core(radius)
+        self._masks = {}
 
     def masks(self, z) -> tuple[np.ndarray, np.ndarray]:
-        """``safe_masks(self.ball, self, z)``, made on the first call for each z."""
+        """Over safe p, made once per z: z <= p (z^-1 p positive) and p in the range of T_z (z^-1 p in the ball)."""
         found = self._masks.get(z)
         if found is None:
-            found = self._masks[z] = safe_masks(self.ball, self, z)
+            ball, pres = self.ball, self.ball.pres
+            zi = pres.inv(z)
+            quotients = [pres.mul(zi, p) for p in self.elements]
+            up = np.array([pres.is_positive(q) for q in quotients], dtype=bool)
+            found = self._masks[z] = up, np.array([q in ball for q in quotients], dtype=bool)
         return found
 
 
@@ -177,16 +173,7 @@ def diagonal_expectation(op: PartialInjection) -> PartialInjection:
     return PartialInjection.partial_identity(op.arr == np.arange(op.size))
 
 
-def safe_masks(ball: Ball, safe: SafeRegion, z) -> tuple[np.ndarray, np.ndarray]:
-    """Over safe p: z <= p (z^-1 p positive) and p in the range of T_z (z^-1 p in the ball)."""
-    pres = ball.pres
-    zi = pres.inv(z)
-    quotients = [pres.mul(zi, p) for p in safe.elements]
-    up = np.array([pres.is_positive(q) for q in quotients], dtype=bool)
-    return up, np.array([q in ball for q in quotients], dtype=bool)
-
-
-def check_nica(ball: Ball, safe: SafeRegion, x, y) -> dict:
+def check_nica(safe: SafeRegion, x, y) -> dict:
     """Covariance of the range projections of two positive shifts, on the safe region.
 
     Operator form: the product of the range projections of T_x and T_y is
@@ -198,8 +185,7 @@ def check_nica(ball: Ball, safe: SafeRegion, x, y) -> dict:
     adjoint of T_z cuts off a positive quotient) unless the reverse holds
     too.  Past it the masks are equal, so ``ux & uy == uj`` is both forms.
     """
-    if safe.ball is not ball:
-        raise ValueError("the safe region was cut from another ball")
+    ball = safe.ball
     join = ball.pres.join(x, y)
     if join.is_inconclusive:
         return {"verdict": "inconclusive", "join": join}
@@ -213,12 +199,12 @@ def check_nica(ball: Ball, safe: SafeRegion, x, y) -> dict:
             return {"verdict": "truncated", "join": join, "shift": z}
         above.append(up)
     if not join.is_finite:
-        above.append(np.zeros(len(safe.indices), dtype=bool))  # no shift: the range projection is zero
+        above.append(np.zeros(len(safe.elements), dtype=bool))  # no shift: the range projection is zero
     ux, uy, uj = above
     return {"verdict": "pass" if np.array_equal(ux & uy, uj) else "fail", "join": join}
 
 
-def matrix_units_check(ball: Ball, safe: SafeRegion, chains: list, n: int) -> dict:
+def matrix_units_check(safe: SafeRegion, chains: list, n: int) -> dict:
     """Matrix-unit relations for E_lr = T_{s_n^l} T_{s_n^r}^* on the safe region.
 
     ``chains`` lists (label, chain) pairs from a decreasing-chain witness;
@@ -226,6 +212,7 @@ def matrix_units_check(ball: Ball, safe: SafeRegion, chains: list, n: int) -> di
     having pairwise infinite joins.  Each shift and each of the L^2 units is
     built once, and the L^4 relations are read off them.
     """
+    ball, core = safe.ball, range(len(safe.elements))
     shifts = {}
     for label, chain in chains:
         s = chain(n)
@@ -237,8 +224,8 @@ def matrix_units_check(ball: Ball, safe: SafeRegion, chains: list, n: int) -> di
     zero = PartialInjection.zero(len(ball))
     failures = []
     for l1, r1, l2, r2 in product(labels, repeat=4):
-        want = units[l1, r2].restrict(safe.indices) if r1 == l2 else zero
-        if units[l1, r1].compose(units[l2, r2]).restrict(safe.indices) != want:
+        want = units[l1, r2].restrict(core) if r1 == l2 else zero
+        if units[l1, r1].compose(units[l2, r2]).restrict(core) != want:
             failures.append((l1, r1, l2, r2))
     return {"ok": not failures, "failures": failures, "labels": labels, "n": n}
 

@@ -76,21 +76,22 @@ MUTANTS = (
            "if (up & ~rng).any():", "if False:",
            ("tests/test_nica_safe.py", "tests/test_toeplitz.py")),
     Mutant("range-mask", TOEPLITZ,
-           "return up, np.array([q in ball for q in quotients], dtype=bool)", "return up, up.copy()",
+           "found = self._masks[z] = up, np.array([q in ball for q in quotients], dtype=bool)",
+           "found = self._masks[z] = up, up.copy()",
            ("tests/test_nica_safe.py", "tests/test_cli.py")),
     Mutant("nica-mask-key", TOEPLITZ,
            "found = self._masks.get(z)", "found = next(iter(self._masks.values()), None)",
            ("tests/test_nica_safe.py::test_one_comparison_matches_the_three_forms",)),
     Mutant("nica-pair-index", CLI,
-           "return [(indices[i // n], indices[i % n]) for i in draws]",
-           "return [(indices[i // n], indices[i // n]) for i in draws]",
+           "return [(i // n, i % n) for i in draws]",
+           "return [(i // n, i // n) for i in draws]",
            ("tests/test_nica_safe.py::test_pair_draw_by_position_matches_the_list_draw", "tests/test_golden.py")),
     Mutant("spanning-product", TOEPLITZ,
            "left = pres.mul(p, pres.mul(pres.inv(q), v))", "left = pres.mul(p, v)",
            ("tests/test_toeplitz.py",)),
     Mutant("matrix-unit-relation", TOEPLITZ,
-           "want = units[l1, r2].restrict(safe.indices) if r1 == l2 else zero",
-           "want = units[l1, r2].restrict(safe.indices)",
+           "want = units[l1, r2].restrict(core) if r1 == l2 else zero",
+           "want = units[l1, r2].restrict(core)",
            ("tests/test_toeplitz.py", "tests/test_acceptance.py::test_criterion_7_matrix_units")),
     # The ball: its shells, named and sorted on first read.
     Mutant("ball-core-slice", ORDER,
@@ -155,15 +156,19 @@ MUTANTS = (
            "if n is None or not self.is_positive(self.stem(z)):", "if n is None:",
            ("tests/test_baumslag.py", "tests/test_hnn.py")),
     Mutant("graph-positive-syllables", GRAPH,
+           "return all(self.vertices[self._check_vertex(v)].is_positive(g) for v, g in x)",
+           "return all(self.vertices[self._check_vertex(v)].is_positive(g) for v, g in x[:1])",
+           ("tests/test_graphprod_laws.py",)),
+    Mutant("graph-positive-vertex-check", GRAPH,
+           "return all(self.vertices[self._check_vertex(v)].is_positive(g) for v, g in x)",
            "return all(self.vertices[v].is_positive(g) for v, g in x)",
-           "return all(self.vertices[v].is_positive(g) for v, g in x[:1])",
-           ("tests/test_graphprod.py",)),
+           ("tests/test_graphprod_laws.py::test_invalid_vertex_ids_rejected",)),
     Mutant("graph-join-check", GRAPH,
            "if x and y and not (self.leq(x, value) and self.leq(y, value)):", "if False:",
            ("tests/test_graphprod.py",)),
     Mutant("graph-order-quotient", GRAPH,
-           "return (positive(push(list(xi), y)) for y in ys)",
-           "return (positive(push(list(xi), y[:1])) for y in ys)",
+           "return (all(vertices[v].is_positive(g) for v, g in push(list(xi), y)) for y in ys)",
+           "return (all(vertices[v].is_positive(g) for v, g in push(list(xi), y[:1])) for y in ys)",
            ("tests/test_graphprod.py", "tests/test_order_core.py")),
     Mutant("sd-positive-level", SD,
            "return is_positive_word(x[0]) and x[1] >= 0", "return is_positive_word(x[0])",

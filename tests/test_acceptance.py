@@ -110,11 +110,10 @@ def test_criterion_4_nica_covariance():
         pres = pres_of(name)
         radius = NICA_RADII.get(name, 6)
         ball = ball_of(name, radius)
-        safe = SafeRegion.of(ball, 3)
-        members = [ball.elements[i] for i in safe.indices]
-        for x in members:
-            for y in members:
-                verdict = check_nica(ball, safe, x, y)["verdict"]
+        safe = SafeRegion(ball, 3)
+        for x in safe.elements:
+            for y in safe.elements:
+                verdict = check_nica(safe, x, y)["verdict"]
                 if verdict == "fail":
                     failures.append((name, pres.canonical_str(x), pres.canonical_str(y)))
                 elif verdict == "truncated":
@@ -212,12 +211,12 @@ def test_criterion_6_morphism_structure():
 def test_criterion_7_matrix_units():
     pres = pres_of("bs:2,-3")
     ball = ball_of("bs:2,-3", 6)
-    safe = SafeRegion.of(ball, 2)
+    safe = SafeRegion(ball, 2)
     chains = pres.lambda_witness(1, fiber_of("bs:2,-3", 6, 1))[:2]
     assert len(chains) == 2
     failures = []
     for n in (0, 1, 2):
-        report = matrix_units_check(ball, safe, chains, n)
+        report = matrix_units_check(safe, chains, n)
         if not report["ok"]:
             failures.append((n, report["failures"]))
     ok = not failures

@@ -130,7 +130,8 @@ class TestGraphProductLaws:
         assert pres.order_matrix([x], [y, above, x])[0].tolist() == expected
 
 
-@pytest.mark.parametrize("op", ["canon", "parse", "mul_left", "mul_right", "inv", "leq"])
+@pytest.mark.parametrize("op", ["canon", "parse", "mul_left", "mul_right", "inv", "leq", "is_positive",
+                                "canonical_str", "morphism"])
 @pytest.mark.parametrize("bad", [3, 7, -1])
 def test_invalid_vertex_ids_rejected(op, bad):
     pres = pres_of("graph:path3")
@@ -143,6 +144,9 @@ def test_invalid_vertex_ids_rejected(op, bad):
         "mul_right": lambda: pres.mul(a, x),
         "inv": lambda: pres.inv(x),
         "leq": lambda: pres.leq(x, a),
+        "is_positive": lambda: pres.is_positive(x),
+        "canonical_str": lambda: pres.canonical_str(x),
+        "morphism": lambda: pres.morphism()(x),
     }
     if op == "parse" and bad < 0:
         with pytest.raises(PresentationError, match="malformed"):
