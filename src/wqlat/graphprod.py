@@ -86,11 +86,16 @@ class GraphProduct(Presentation):
             raise PresentationError(f"invalid vertex id {v}")
         return v
 
+    def _checked(self, x):
+        """``x``, once each of its syllables' vertex ids is known to be one."""
+        for v, _ in x:
+            self._check_vertex(v)
+        return x
+
     def _push(self, items: list, syllables) -> list:
-        """Append ``syllables`` to the reduced list ``items``, keeping it reduced."""
-        adj, ids, vertices, check = self.graph.neighbours, self._ids, self.vertices, self._check_vertex
+        """Append ``syllables``, whose vertex ids are checked, to the reduced list ``items``, keeping it reduced."""
+        adj, ids, vertices = self.graph.neighbours, self._ids, self.vertices
         for v, g in syllables:
-            check(v)
             if g == ids[v]:
                 continue
             mask, k = adj[v], len(items) - 1
@@ -120,36 +125,35 @@ class GraphProduct(Presentation):
 
     def _inverse_syllables(self, x: GpElement) -> list:
         """x^-1 as a reduced, unshuffled list."""
-        for v, _ in x:
-            self._check_vertex(v)
-        return [(v, self.vertices[v].inv(g)) for v, g in reversed(x)]
+        return [(v, self.vertices[v].inv(g)) for v, g in reversed(self._checked(x))]
 
     def canon(self, syllables) -> GpElement:
         """Delete identities, reduce in one pass, then take the least shuffle."""
-        return self._shuffle(self._push([], syllables))
+        return self._shuffle(self._push([], self._checked(syllables)))
 
     def mul(self, x: GpElement, y: GpElement) -> GpElement:
-        for v, _ in x:
-            self._check_vertex(v)
-        return self._shuffle(self._push(list(x), y))
+        return self._shuffle(self._push(list(self._checked(x)), self._checked(y)))
 
     def inv(self, x: GpElement) -> GpElement:
         return self._shuffle(self._inverse_syllables(x))
 
     def is_positive(self, x: GpElement) -> bool:
-        return all(self.vertices[self._check_vertex(v)].is_positive(g) for v, g in x)
+        vertices = self.vertices
+        return all(vertices[v].is_positive(g) for v, g in self._checked(x))
 
     def _above(self, x: GpElement, ys):
         # x <= y iff x^-1 y is positive, read off its reduced, unshuffled
-        # form; ``_push`` has checked its vertex ids.
+        # form; the caller has checked the vertex ids of ``ys``.
         xi, push, vertices = self._inverse_syllables(x), self._push, self.vertices
         return (all(vertices[v].is_positive(g) for v, g in push(list(xi), y)) for y in ys)
 
     def leq(self, x: GpElement, y: GpElement) -> bool:
-        return next(self._above(x, (y,)))
+        return next(self._above(x, (self._checked(y),)))
 
     def order_matrix(self, xs: Sequence[GpElement], ys: Sequence[GpElement]) -> np.ndarray:
         out = np.empty((len(xs), len(ys)), dtype=bool)
+        for y in ys:
+            self._checked(y)
         for i, x in enumerate(xs):
             out[i] = np.fromiter(self._above(x, ys), dtype=bool, count=len(ys))
         return out
@@ -214,9 +218,10 @@ class GraphProduct(Presentation):
         # read only once the whole text is syllables.
         if not _SYLLABLE_TEXT_RE.fullmatch(stripped):
             raise PresentationError(f"malformed syllable text {text!r}; expected [vI: word] tokens")
-        syllables = []
+        n, vertices, syllables = self.graph.n_vertices, self.vertices, []
         for v_text, word in _SYLLABLE_RE.findall(stripped):
             v = int(v_text)
-            self._check_vertex(v)
-            syllables.append((v, self.vertices[v].parse(word.strip())))
-        return self.canon(syllables)
+            if v >= n:  # ``\d+`` reads no sign
+                raise PresentationError(f"invalid vertex id {v}")
+            syllables.append((v, vertices[v].parse(word.strip())))
+        return self._shuffle(self._push([], syllables))

@@ -28,7 +28,6 @@ from .words import (
     is_prefix,
     parse_word,
     positive_quotients,
-    reduce_word,
     word_inv,
     word_mul,
 )
@@ -187,14 +186,18 @@ class SemidirectProduct(Presentation):
         return " ".join(parts) if parts else "e"
 
     def parse(self, text: str) -> SdElement:
-        """The images phi^level(letter) of the base letters, concatenated and reduced once."""
-        pieces, level = [], 0
+        """The images phi^level(letter) of the base letters, appended with cancellation at the top of the list."""
+        out, level, s = [], 0, self.base.n_gens
         for gen, sign in parse_word(text, self.gen_names):
-            if gen == self.base.n_gens:
+            if gen == s:
                 level += sign
-            else:
-                pieces.extend(self._image(((gen, sign),), level))
-        return reduce_word(pieces), level
+                continue
+            for piece in self._image(((gen, sign),), level):
+                if out and out[-1] == (piece[0], -piece[1]):
+                    out.pop()
+                else:
+                    out.append(piece)
+        return tuple(out), level
 
 
 class LevelwiseProduct(SemidirectProduct):

@@ -238,6 +238,10 @@ class FreeGroup(Presentation):
                 raise PresentationError(f"letter {gen} outside alphabet of size {self.n_gens}")
 
 
+# The exponents of the ``free:1`` tokens that need no exponent text.
+_CYCLIC_TOKENS = {"a": 1, "a^-1": -1, "e": 0}
+
+
 class CyclicFreeGroup(IntGroup):
     """``free:1``: the free group on the one letter a, with a^k held as the int k.
 
@@ -264,7 +268,17 @@ class CyclicFreeGroup(IntGroup):
         return "e" if x == 0 else "a" if x == 1 else f"a^{x}"
 
     def parse(self, text: str) -> int:
-        return letter_sum(parse_word(text, self.gen_names))
+        """The exponent sum of the shared grammar, token by token; the letter cap bounds the sum of |k|."""
+        total = letters = 0
+        for token in text.split():
+            k = _CYCLIC_TOKENS.get(token)
+            if k is None:
+                k = _power(token, self.gen_names)[1]
+            letters += abs(k)
+            if letters > LETTER_CAP:
+                check_letter_cap(letters)
+            total += k
+        return total
 
 
 class ScarparoCone(FreeGroup):
@@ -344,8 +358,8 @@ def _token_table(gen_names: tuple[str, ...]) -> dict[str, tuple]:
     return table
 
 
-def _power_letters(token: str, gen_names: Sequence[str], count: int) -> list[tuple[int, int]]:
-    """The letters of a token ``name^k``, read after ``count`` letters; every error of the grammar."""
+def _power(token: str, gen_names: Sequence[str]) -> tuple[int, int]:
+    """(generator index, exponent) of a token ``name^k``; every error of the grammar but the letter cap."""
     name, caret, exp_text = token.partition("^")
     try:
         idx = gen_names.index(name)
@@ -358,8 +372,7 @@ def _power_letters(token: str, gen_names: Sequence[str], count: int) -> list[tup
             if not _EXPONENT.fullmatch(exp_text):
                 raise PresentationError(f"malformed exponent in token {token!r}")
             raise PresentationError(f"exponent in token {token!r} exceeds {EXPONENT_CAP}")
-    check_letter_cap(count + abs(exp))
-    return [(idx, 1 if exp >= 0 else -1)] * abs(exp)
+    return idx, exp
 
 
 def parse_word(text: str, gen_names: Sequence[str]) -> list[tuple[int, int]]:
@@ -373,7 +386,9 @@ def parse_word(text: str, gen_names: Sequence[str]) -> list[tuple[int, int]]:
     for token in text.split():
         found = table.get(token)
         if found is None:
-            found = _power_letters(token, gen_names, len(letters))
+            idx, exp = _power(token, gen_names)
+            check_letter_cap(len(letters) + abs(exp))
+            found = [(idx, 1 if exp >= 0 else -1)] * abs(exp)
         elif len(letters) >= LETTER_CAP and found:
             check_letter_cap(len(letters) + 1)
         letters += found

@@ -143,6 +143,18 @@ MUTANTS = (
     Mutant("token-table-letter-cap", WORDS,
            "elif len(letters) >= LETTER_CAP and found:", "elif False:",
            ("tests/test_words.py::TestLetterCap::test_parsed_letters_are_counted_across_tokens",)),
+    Mutant("cyclic-sum-inverse-sign", WORDS,
+           '_CYCLIC_TOKENS = {"a": 1, "a^-1": -1, "e": 0}', '_CYCLIC_TOKENS = {"a": 1, "a^-1": 1, "e": 0}',
+           ("tests/test_words.py::TestCyclicSum",)),
+    Mutant("cyclic-sum-letter-cap", WORDS,
+           "if letters > LETTER_CAP:", "if False:",
+           ("tests/test_words.py::TestCyclicSum::test_letter_cap_matches_the_reference",)),
+    Mutant("graph-parse-vertex-bound", GRAPH,
+           "if v >= n:  # ``\\d+`` reads no sign", "if v > n:  # ``\\d+`` reads no sign",
+           ("tests/test_graphprod_laws.py::test_invalid_vertex_ids_rejected",)),
+    Mutant("sd-parse-cancellation", SD,
+           "if out and out[-1] == (piece[0], -piece[1]):", "if out and out[-1] == (piece[0], piece[1]):",
+           ("tests/test_semidirect.py::test_parse_matches_the_reference_on_a_seeded_stream",)),
     Mutant("graph-syllable-text", GRAPH,
            "if not _SYLLABLE_TEXT_RE.fullmatch(stripped):", "if False:",
            ("tests/test_graphprod.py",)),
@@ -156,12 +168,22 @@ MUTANTS = (
            "if n is None or not self.is_positive(self.stem(z)):", "if n is None:",
            ("tests/test_baumslag.py", "tests/test_hnn.py")),
     Mutant("graph-positive-syllables", GRAPH,
-           "return all(self.vertices[self._check_vertex(v)].is_positive(g) for v, g in x)",
-           "return all(self.vertices[self._check_vertex(v)].is_positive(g) for v, g in x[:1])",
+           "return all(vertices[v].is_positive(g) for v, g in self._checked(x))",
+           "return all(vertices[v].is_positive(g) for v, g in self._checked(x)[:1])",
            ("tests/test_graphprod_laws.py",)),
     Mutant("graph-positive-vertex-check", GRAPH,
-           "return all(self.vertices[self._check_vertex(v)].is_positive(g) for v, g in x)",
-           "return all(self.vertices[v].is_positive(g) for v, g in x)",
+           "return all(vertices[v].is_positive(g) for v, g in self._checked(x))",
+           "return all(vertices[v].is_positive(g) for v, g in x)",
+           ("tests/test_graphprod_laws.py::test_invalid_vertex_ids_rejected",)),
+    Mutant("graph-mul-right-check", GRAPH,
+           "return self._shuffle(self._push(list(self._checked(x)), self._checked(y)))",
+           "return self._shuffle(self._push(list(self._checked(x)), y))",
+           ("tests/test_graphprod_laws.py::test_invalid_vertex_ids_rejected",)),
+    Mutant("graph-leq-right-check", GRAPH,
+           "return next(self._above(x, (self._checked(y),)))", "return next(self._above(x, (y,)))",
+           ("tests/test_graphprod_laws.py::test_invalid_vertex_ids_rejected",)),
+    Mutant("graph-order-matrix-column-check", GRAPH,
+           "self._checked(y)", "pass",
            ("tests/test_graphprod_laws.py::test_invalid_vertex_ids_rejected",)),
     Mutant("graph-join-check", GRAPH,
            "if x and y and not (self.leq(x, value) and self.leq(y, value)):", "if False:",

@@ -130,8 +130,9 @@ class TestGraphProductLaws:
         assert pres.order_matrix([x], [y, above, x])[0].tolist() == expected
 
 
-@pytest.mark.parametrize("op", ["canon", "parse", "mul_left", "mul_right", "inv", "leq", "is_positive",
-                                "canonical_str", "morphism"])
+@pytest.mark.parametrize("op", ["canon", "parse", "mul_left", "mul_right", "inv", "leq", "leq_right",
+                                "order_matrix_left", "order_matrix_right", "join", "is_positive",
+                                "is_positive_after_negative", "canonical_str", "morphism"])
 @pytest.mark.parametrize("bad", [3, 7, -1])
 def test_invalid_vertex_ids_rejected(op, bad):
     pres = pres_of("graph:path3")
@@ -144,7 +145,13 @@ def test_invalid_vertex_ids_rejected(op, bad):
         "mul_right": lambda: pres.mul(a, x),
         "inv": lambda: pres.inv(x),
         "leq": lambda: pres.leq(x, a),
+        "leq_right": lambda: pres.leq(a, x),
+        "order_matrix_left": lambda: pres.order_matrix([x], [a]),
+        "order_matrix_right": lambda: pres.order_matrix([a], [x]),
+        "join": lambda: pres.join(a, x),
         "is_positive": lambda: pres.is_positive(x),
+        # A non-positive syllable ahead of the bad one does not end the check.
+        "is_positive_after_negative": lambda: pres.is_positive(pres.inv(a) + x),
         "canonical_str": lambda: pres.canonical_str(x),
         "morphism": lambda: pres.morphism()(x),
     }

@@ -5,7 +5,7 @@ import pytest
 from wqlat.order import LETTER_CAP, JoinResult, PresentationError, oracle_join
 from wqlat.presets import get_presentation
 from wqlat.semidirect import FreeAutomorphism, nonexample
-from wqlat.words import EMPTY, FreeGroup, is_positive_word, positive_words
+from wqlat.words import EMPTY, FreeGroup, is_positive_word, parse_word, positive_words, reduce_word
 
 from conftest import ball_of, pres_of
 
@@ -157,6 +157,43 @@ class TestGrammar:
         for pres in ALL:
             for x in ball_of(pres.name, 3):
                 assert pres.parse(pres.canonical_str(x)) == x
+
+
+def parse_reference(pres, text):
+    """The images phi^level(letter) concatenated, then reduced once: ``parse`` before it cancelled as it read."""
+    pieces, level = [], 0
+    for gen, sign in parse_word(text, pres.gen_names):
+        if gen == pres.base.n_gens:
+            level += sign
+        else:
+            pieces.extend(pres._image(((gen, sign),), level))
+    return reduce_word(pieces), level
+
+
+def random_sd_token(rng, pres):
+    """Mostly letters and their powers, then levels and ``e``, and a few tokens the grammar refuses."""
+    kind = rng.randrange(20)
+    if kind < 12:
+        return rng.choice(pres.base.gen_names) + rng.choice(("", "", "^-1", "^-1", "^2", "^-3", "^0"))
+    if kind < 19:
+        return rng.choice(("s", "s^-1", "s^2", "s^-2", "e"))
+    return rng.choice(("z", "s^", "a^+1", "e^2"))
+
+
+def parse_outcome(parse, text):
+    """What ``parse`` reads, or the message of the ``PresentationError`` it raises."""
+    try:
+        return parse(text)
+    except PresentationError as err:
+        return f"error: {err}"
+
+
+@pytest.mark.parametrize("pres", ALL, ids=lambda p: p.name)
+def test_parse_matches_the_reference_on_a_seeded_stream(pres):
+    rng = random.Random(f"sd-parse {pres.name}")
+    for _ in range(1000):
+        text = " ".join(random_sd_token(rng, pres) for _ in range(rng.randrange(10))) or "e"
+        assert parse_outcome(pres.parse, text) == parse_outcome(lambda t: parse_reference(pres, t), text), text
 
 
 class TestImages:

@@ -8,8 +8,10 @@ from hypothesis import given, strategies as st
 from wqlat.order import EXPONENT_CAP, LETTER_CAP, JoinResult, PresentationError, check_letter_cap, oracle_join
 from wqlat.words import (
     EMPTY,
+    CyclicFreeGroup,
     FreeGroup,
     ScarparoCone,
+    letter_sum,
     parse_word,
     reduce_word,
     word_inv,
@@ -217,6 +219,33 @@ class TestTokenTable:
     @pytest.mark.parametrize("text", CAP_TEXTS, ids=range(len(CAP_TEXTS)))
     def test_letter_cap_matches_the_reference(self, text):
         assert parsed(parse_word, text, ("a", "b")) == parsed(parse_word_reference, text, ("a", "b"))
+
+
+def cyclic_sum(text, alphabet):
+    return CyclicFreeGroup().parse(text)
+
+
+def cyclic_sum_reference(text, alphabet):
+    """The letters of the text, expanded and then summed: ``CyclicFreeGroup.parse`` before it summed tokens."""
+    return letter_sum(parse_word(text, alphabet))
+
+
+# Besides CAP_TEXTS: the cap crossed by a letter after an exponent token, and by an exponent token.
+CYCLIC_CAP_TEXTS = CAP_TEXTS + (FULL + f" a^{EXPONENT_CAP} a", FULL + " a" * (EXPONENT_CAP - 1) + " a^-2")
+
+
+class TestCyclicSum:
+    """``free:1`` sums its tokens to the letter sum of the parsed letters, errors and their messages included."""
+
+    def test_seeded_stream_matches_the_reference(self):
+        rng = random.Random("cyclic-sum")
+        for _ in range(3000):
+            text = rng.choice((" ", "  ", "\t", "\n")).join(random_token(rng, ("a",)) for _ in range(rng.randrange(9)))
+            assert parsed(cyclic_sum, text, ("a",)) == parsed(cyclic_sum_reference, text, ("a",)), text
+
+    @pytest.mark.parametrize("text", CYCLIC_CAP_TEXTS, ids=range(len(CYCLIC_CAP_TEXTS)))
+    def test_letter_cap_matches_the_reference(self, text):
+        assert parsed(cyclic_sum, text, ("a",)) == parsed(cyclic_sum_reference, text, ("a",))
 
 
 def reference_pow(x, n):
