@@ -27,7 +27,7 @@ from itertools import product
 import numpy as np
 
 from .hnn import StableLetterCone
-from .order import PresentationError, check_letter_cap
+from .order import BALL_ELEMENT_CAP, BallCapExceeded, PresentationError, check_letter_cap
 
 # Element layout: (exps, eps) with len(exps) == len(eps) + 1.
 BsWord = tuple
@@ -151,13 +151,17 @@ class BaumslagSolitar(StableLetterCone):
     def sigma_witness(self, q: int, fiber: list) -> list:
         """Minimal elements of height q: the words b^s1 a ... b^sq a with 0 <= s_i < d'.
 
-        For d' < 0 no fiber above height zero has minimal elements.
+        For d' < 0 no fiber above height zero has minimal elements.  More
+        than ``BALL_ELEMENT_CAP`` of them are refused before any is made.
         """
         if q == 0:
             return [self.identity()]
         if self.has_chain:
             return []
-        return [(s + (0,), (1,) * q) for s in product(range(self.params.d_signed), repeat=q)]
+        d = self.params.d_signed
+        if d ** q > BALL_ELEMENT_CAP:
+            raise BallCapExceeded(f"sigma witness of height {q} has {d}^{q} elements, over {BALL_ELEMENT_CAP}")
+        return [(s + (0,), (1,) * q) for s in product(range(d), repeat=q)]
 
     def positive_generators(self) -> list[BsWord]:
         return [self.canon([(A, 1)]), self.canon([(B, 1)])]

@@ -89,23 +89,26 @@ def check_join_preserving(mor: Morphism, ball: Ball) -> dict:
     return {"failures": failures, "inconclusive": inconclusive, "ok": not failures}
 
 
-def _separation(src: Presentation, xs: list, apart: Callable) -> tuple[list, int]:
+def _separation(src: Presentation, xs: list, rel: np.ndarray, apart: Callable) -> tuple[list, int]:
     """Pairs (i, j) of xs that must have an infinite join (``apart(i, j)``) but have a finite one; the undecided count.
 
-    The joins come from one ``join_table`` of xs; an inconclusive one is
-    counted, not a failure.
+    ``rel = order_matrix(xs, xs)``: a comparable pair joins to the larger
+    element, and the open pairs' joins come from one ``join_table``; an
+    inconclusive one is counted, not a failure.
     """
-    table = src.join_table(xs)
-    apart_pairs = [(i, j) for i, j in sorted(table) if apart(i, j)]
-    failures = [(i, j) for i, j in apart_pairs if not table[i, j].is_inconclusive]
+    table = src.join_table(xs, rel)
+    comparable = [(i, j) for i, j in np.argwhere(np.triu(rel | rel.T)).tolist() if apart(i, j)]
+    apart_pairs = sorted(comparable + [(i, j) for i, j in table if apart(i, j)])
+    failures = [p for p in apart_pairs if p not in table or not table[p].is_inconclusive]
     return failures, len(apart_pairs) - len(failures)
 
 
 def check_sigma_axioms(mor: Morphism, witness: SigmaWitness, ball: Ball) -> dict:
     """Minimal-element axioms: fiber coverage from below, pairwise infinite joins.
 
-    Witnesses must be positive; their joins come from one ``join_table`` per
-    fiber, and a pair whose join is undecided counts in
+    Witnesses must be positive; one ``order_matrix`` per fiber orders them
+    against themselves and the fiber, their open pairs' joins come from one
+    ``join_table``, and a pair whose join is undecided counts in
     ``separation_inconclusive``, not as a failure.
     """
     coverage_failures = []
@@ -115,9 +118,10 @@ def check_sigma_axioms(mor: Morphism, witness: SigmaWitness, ball: Ball) -> dict
     for q, members in sorted(fibers(mor, ball).items(), key=lambda kv: str(kv[0])):
         sigma = list(witness(q, members))
         src.require_positive(*sigma)
-        covered = src.order_matrix(sigma, members).any(0)
+        below = src.order_matrix(sigma, sigma + members)
+        covered = below[:, len(sigma):].any(0)
         coverage_failures.extend((q, x) for x, hit in zip(members, covered) if not hit)
-        failed, undecided = _separation(src, sigma, lambda i, j: sigma[i] != sigma[j])
+        failed, undecided = _separation(src, sigma, below[:, :len(sigma)], lambda i, j: sigma[i] != sigma[j])
         separation_failures.extend((q, sigma[i], sigma[j]) for i, j in failed)
         separation_inconclusive += undecided
     return {
@@ -161,8 +165,10 @@ def check_decreasing_cover(mor: Morphism, witness: LambdaWitness, ball: Ball, de
                 disjointness_failures.append((q, x, [classes[c][0] for c in matched]))
             else:
                 assignment[k] = matched[0]
+        block = [ball.index[x] for x in members]
         failed, undecided = _separation(
-            src, members, lambda i, j: i in assignment and j in assignment and assignment[i] != assignment[j]
+            src, members, ball.order()[np.ix_(block, block)],
+            lambda i, j: i in assignment and j in assignment and assignment[i] != assignment[j],
         )
         separation_failures.extend((q, members[i], members[j]) for i, j in failed)
         separation_inconclusive += undecided

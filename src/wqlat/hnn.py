@@ -273,7 +273,7 @@ class StableLetterCone(Presentation):
             for stem in self._stems(fiber)
         ]
 
-    def join_table(self, xs: Sequence[HnnWord], rel=None) -> dict:
+    def join_table(self, xs: Sequence[HnnWord], rel: np.ndarray) -> dict:
         """With chains ``comparable_join_table``, otherwise ``prefix_join_table`` of the stem parts.
 
         Without chains, x <= z makes the stem parts of x a prefix of those of

@@ -25,11 +25,10 @@ letter).  ``Ball.order()`` is the hook over the ball squared;
 ``Ball.leq_row(i)`` is its single row ``elements[i] <= .``, memoised until
 the matrix exists and served from it afterwards, so a ball holds one
 relation.  The oracle reads only the rows it needs, so large balls never
-pay for the matrix.  The second hook is ``join_table(xs, rel=None)``, the
-joins of all pairs i <= j that are not infinite, which the controlled-map
-checks read instead of joining pair by pair.  Given ``rel =
-order_matrix(xs, xs)`` it leaves out the pairs ``rel`` makes comparable,
-since the join of x <= y is y, and joins only the open pairs.
+pay for the matrix.  The second hook is ``join_table(xs, rel)``, handed
+``rel = order_matrix(xs, xs)``: the joins that are not infinite of the open
+pairs i < j, those ``rel`` leaves incomparable (the join of x <= y is y),
+which the controlled-map checks read instead of joining pair by pair.
 The oracle is three-valued on purpose: a finite ball can certify a least
 upper bound but never the absence of one.
 
@@ -226,16 +225,15 @@ class Presentation:
     def _join(self, x: Element, y: Element) -> JoinResult:
         raise NotImplementedError
 
-    def join_table(self, xs: Sequence[Element], rel: np.ndarray | None = None) -> dict[tuple[int, int], JoinResult]:
-        """``{(i, j): _join(xs[i], xs[j])}`` over i <= j, infinite joins left out, keys in no set order.
+    def join_table(self, xs: Sequence[Element], rel: np.ndarray) -> dict[tuple[int, int], JoinResult]:
+        """``{(i, j): _join(xs[i], xs[j])}`` over the open pairs of ``rel``, infinite joins left out.
 
-        Given ``rel = order_matrix(xs, xs)``, the pairs it makes comparable
-        (i = j among them) are left out too: the join of x <= y is y, so only
-        the open pairs need a rule.  One unguarded ``_join`` per pair of
-        positive elements; families override it where the infinite pairs can
-        be found in bulk.
+        ``rel = order_matrix(xs, xs)``.  The open pairs are the i < j it leaves
+        incomparable (the join of x <= y is y); keys are in no set order.  One
+        unguarded ``_join`` per open pair of positive elements; families
+        override it where the infinite pairs can be found in bulk.
         """
-        return self._join_pairs(xs, open_pairs(len(xs), rel))
+        return self._join_pairs(xs, open_pairs(rel))
 
     def _join_pairs(self, xs: Sequence[Element], mask: np.ndarray) -> dict[tuple[int, int], JoinResult]:
         """``{(i, j): _join(xs[i], xs[j])}`` over the pairs ``mask`` holds, infinite joins left out."""
@@ -253,20 +251,12 @@ class Presentation:
             return JoinResult.finite(x)
         return JoinResult.infinite()
 
-    def comparable_join_table(
-        self, xs: Sequence[Element], rel: np.ndarray | None = None
-    ) -> dict[tuple[int, int], JoinResult]:
-        """``join_table`` of ``comparable_join``: finite exactly on the comparable pairs, so empty given ``rel``."""
-        if rel is not None:
-            return {}
-        rel = self.order_matrix(xs, xs)
-        return {
-            (i, j): JoinResult.finite(xs[j] if rel[i, j] else xs[i])
-            for i, j in np.argwhere(np.triu(rel | rel.T)).tolist()
-        }
+    def comparable_join_table(self, xs: Sequence[Element], rel: np.ndarray) -> dict[tuple[int, int], JoinResult]:
+        """``join_table`` of ``comparable_join``: no open pair has a join, so the table is empty."""
+        return {}
 
     def prefix_join_table(
-        self, xs: Sequence[Element], stems: Sequence[tuple], rel: np.ndarray | None = None
+        self, xs: Sequence[Element], stems: Sequence[tuple], rel: np.ndarray
     ) -> dict[tuple[int, int], JoinResult]:
         """``join_table`` with ``_join`` only on the open pairs with prefix-comparable stems.
 
@@ -276,7 +266,7 @@ class Presentation:
         extends = np.zeros((len(xs), len(xs)), dtype=bool)  # row a: the stems that extend stem a
         for a, s in enumerate(stems):
             extends[a, above[s]] = True
-        return self._join_pairs(xs, (extends | extends.T) & open_pairs(len(xs), rel))
+        return self._join_pairs(xs, (extends | extends.T) & open_pairs(rel))
 
     def canonical_str(self, x: Element) -> str:
         raise NotImplementedError
@@ -465,10 +455,8 @@ def prefix_index(stems: Iterable[tuple[int, tuple]]) -> dict[tuple, list[int]]:
     return index
 
 
-def open_pairs(n: int, rel: np.ndarray | None) -> np.ndarray:
-    """Upper-triangle mask of the pairs i <= j a join table covers: all of them, or those ``rel`` leaves incomparable."""
-    if rel is None:
-        return np.triu(np.ones((n, n), dtype=bool))
+def open_pairs(rel: np.ndarray) -> np.ndarray:
+    """Upper-triangle mask of the pairs a join table covers: those ``rel`` leaves incomparable."""
     return np.triu(~(rel | rel.T))
 
 

@@ -203,14 +203,14 @@ class SemidirectProduct(Presentation):
 class LevelwiseProduct(SemidirectProduct):
     """Product whose action permutes the base cone: joins are componentwise."""
 
-    def join_table(self, xs: Sequence[SdElement], rel=None) -> dict:
+    def join_table(self, xs: Sequence[SdElement], rel: np.ndarray) -> dict:
         """The words' order (one ``positive_quotients``): a pair joins when its words are comparable.
 
         The join is the larger word at the larger level.
         """
         words = [x[0] for x in xs]
         word_rel = self.base.order_matrix(words, words)
-        bounded = np.triu(word_rel | word_rel.T) & open_pairs(len(xs), rel)
+        bounded = np.triu(word_rel | word_rel.T) & open_pairs(rel)
         return {
             (i, j): JoinResult.finite((words[j] if word_rel[i, j] else words[i], max(xs[i][1], xs[j][1])))
             for i, j in np.argwhere(bounded).tolist()
@@ -247,7 +247,7 @@ class PhiAbProduct(SemidirectProduct):
             out.add((word, level))
         return sorted(out, key=self.canonical_str)
 
-    def join_table(self, xs: Sequence[SdElement], rel=None) -> dict:
+    def join_table(self, xs: Sequence[SdElement], rel: np.ndarray) -> dict:
         """``prefix_join_table`` of the words: ``_join`` is infinite unless one is a prefix of the other."""
         return self.prefix_join_table(xs, [x[0] for x in xs], rel)
 

@@ -19,7 +19,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .controlled import Morphism
-from .order import EXPONENT_CAP, LETTER_CAP, IntGroup, JoinResult, Presentation, PresentationError, check_letter_cap
+from .order import (
+    BALL_ELEMENT_CAP, EXPONENT_CAP, LETTER_CAP, Ball, IntGroup, JoinResult, Presentation, PresentationError,
+    check_element_cap, check_letter_cap, check_radius_cap,
+)
 
 FWord = tuple  # tuple[tuple[int, int], ...]
 
@@ -312,8 +315,6 @@ class ScarparoCone(FreeGroup):
         raise PresentationError("the cone has no finite generating set; use enumerate_ball")
 
     def enumerate_ball(self, radius: int, cap: int | None = None):
-        from .order import BALL_ELEMENT_CAP, Ball, check_element_cap, check_radius_cap
-
         check_radius_cap(radius, cap)
         # e, and b w for each positive w shorter than radius; the exponent is
         # bounded first, so a huge radius is refused at once.

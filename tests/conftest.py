@@ -7,6 +7,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
 from wqlat.controlled import fibers
 from wqlat.presets import get_presentation
 
@@ -41,6 +43,29 @@ def ball_of(name: str, radius: int):
 def fiber_of(name: str, radius: int, q) -> list:
     """The elements of ``ball_of(name, radius)`` over q under the preset's morphism, in ball order."""
     return fibers(pres_of(name).morphism(), ball_of(name, radius)).get(q, [])
+
+
+def full_join_table(pres, xs) -> dict:
+    """``{(i, j): _join(xs[i], xs[j])}`` over every pair i <= j, infinite joins left out: one ``_join`` per pair."""
+    table = {}
+    for i in range(len(xs)):
+        for j in range(i, len(xs)):
+            if not (r := pres._join(xs[i], xs[j])).is_infinite:
+                table[i, j] = r
+    return table
+
+
+def open_join_table(pres, xs, rel) -> dict:
+    """The entries of ``full_join_table`` on the pairs ``rel`` leaves incomparable: what ``join_table(xs, rel)`` holds.
+
+    Checks first that each comparable pair of the reference joins to the
+    larger element, or is undecided by the family rule.
+    """
+    full = full_join_table(pres, xs)
+    for i, j in np.argwhere(np.triu(rel | rel.T)).tolist():
+        r = full[i, j]
+        assert r.is_inconclusive or r.value == (xs[j] if rel[i, j] else xs[i]), (i, j, r)
+    return {(i, j): r for (i, j), r in full.items() if not (rel[i, j] or rel[j, i])}
 
 
 def short(name):

@@ -49,13 +49,17 @@ CONTROLLED, ORDER, HNN, TOEPLITZ, WORDS, BS, GRAPH, SD, CLI = (f"src/wqlat/{m}.p
 MUTANTS = (
     # The controlled-map axioms.
     Mutant("sigma-separation", CONTROLLED,
-           "failed, undecided = _separation(src, sigma, lambda i, j: sigma[i] != sigma[j])",
-           "failed, undecided = _separation(src, sigma, lambda i, j: False)",
+           "failed, undecided = _separation(src, sigma, below[:, :len(sigma)], lambda i, j: sigma[i] != sigma[j])",
+           "failed, undecided = _separation(src, sigma, below[:, :len(sigma)], lambda i, j: False)",
            ("tests/test_controlled.py",)),
     Mutant("separation-undecided", CONTROLLED,
-           "failures = [(i, j) for i, j in apart_pairs if not table[i, j].is_inconclusive]",
+           "failures = [p for p in apart_pairs if p not in table or not table[p].is_inconclusive]",
            "failures = apart_pairs",
            ("tests/test_controlled.py",)),
+    Mutant("separation-comparable", CONTROLLED,
+           "comparable = [(i, j) for i, j in np.argwhere(np.triu(rel | rel.T)).tolist() if apart(i, j)]",
+           "comparable = []",
+           ("tests/test_controlled.py::TestHandMadeWitnesses::test_sigma_with_a_finite_join_fails_separation",)),
     Mutant("chain-decrease", CONTROLLED,
            "if not src.leq(chain(n + 1), chain(n)):", "if False:",
            ("tests/test_controlled.py",)),
@@ -109,8 +113,8 @@ MUTANTS = (
            "if ball.leq_row(z)[ubs].all():", "if ball.leq_row(z)[ubs].any():",
            ("tests/test_order_core.py", "tests/test_order_kernel.py")),
     Mutant("prefix-mask", ORDER,
-           "return self._join_pairs(xs, (extends | extends.T) & open_pairs(len(xs), rel))",
-           "return self._join_pairs(xs, extends & open_pairs(len(xs), rel))",
+           "return self._join_pairs(xs, (extends | extends.T) & open_pairs(rel))",
+           "return self._join_pairs(xs, extends & open_pairs(rel))",
            ("tests/test_stem_blocks.py", "tests/test_closed_forms.py")),
     # One rule per family: positivity, the join, the order matrix.
     Mutant("free-join-prefix", WORDS,
@@ -164,6 +168,9 @@ MUTANTS = (
     Mutant("bs-positive-tail", BS,
            "return exps[-1] >= 0", "return exps[-1] > 0",
            ("tests/test_baumslag.py",)),
+    Mutant("bs-witness-cap", BS,
+           "if d ** q > BALL_ELEMENT_CAP:", "if d ** q >= BALL_ELEMENT_CAP:",
+           ("tests/test_controlled.py::TestWitnessShapes::test_bs_minimal_slice_is_capped",)),
     Mutant("stable-letter-join-stem", HNN,
            "if n is None or not self.is_positive(self.stem(z)):", "if n is None:",
            ("tests/test_baumslag.py", "tests/test_hnn.py")),

@@ -337,6 +337,14 @@ class TestUsageErrors:
         assert code == 64 and out == ""
         assert err == f"wqlat: error: ball of radius {huge} exceeds 8192 elements\n"
 
+    @pytest.mark.parametrize("preset,radius,height,d", [("bs:1,99", 3, 2, 99), ("bs:1,10", 4, 4, 10)])
+    def test_sigma_witness_cap(self, capsys, preset, radius, height, d):
+        # The first height with more than 8192 minimal elements is refused
+        # before any is made; bs:1,9 at radius 4 (6561 of them) passes.
+        code, out, err = run(capsys, "check-controlled", preset, "--radius", str(radius))
+        assert code == 64 and out == ""
+        assert err == f"wqlat: error: sigma witness of height {height} has {d}^{height} elements, over 8192\n"
+
     def test_op_non_positive(self, capsys):
         code, out, err = run(capsys, "op", "free:2", "a^-1")
         assert code == 64 and out == ""

@@ -1,6 +1,6 @@
 """Closed forms on the join-bound scans.
 
-* ``join_table(xs, rel)`` leaves out the pairs ``rel`` makes comparable.
+* ``join_table(xs, rel)`` joins only the pairs ``rel`` leaves incomparable.
 * ``check_join_preserving`` reads comparable-pair failures off the two
   relations and joins only the open pairs.
 * Semidirect images are chained phi^(+-1) steps of one linear substitution.
@@ -14,11 +14,11 @@ import random
 import pytest
 
 from wqlat.controlled import Morphism, check_join_preserving
-from wqlat.order import IntGroup, JoinResult, Presentation
+from wqlat.order import IntGroup, JoinResult
 from wqlat.semidirect import IMAGE_CHAIN_DEPTH
 from wqlat.words import CyclicFreeGroup, FreeGroup, letter_sum, word_inv, word_mul, word_pow
 
-from conftest import README_PRESETS, ball_of, pres_of, short
+from conftest import README_PRESETS, ball_of, full_join_table, open_join_table, pres_of, short
 
 SD_PRESETS = ("sd:swap2", "sd:perm3", "sd:phi-ab", "sd:nonexample")
 TABLE_BALLS = [(name, 3) for name in README_PRESETS] + [(name, 4) for name in SD_PRESETS + ("bs:2,3",)]
@@ -28,10 +28,7 @@ TABLE_BALLS = [(name, 3) for name in README_PRESETS] + [(name, 4) for name in SD
 def test_join_table_given_rel_is_the_default_table_without_comparable_pairs(name, radius):
     pres, ball = pres_of(name), ball_of(name, radius)
     els, rel = ball.elements, ball.order()
-    full = Presentation.join_table(pres, els)  # one _join per pair
-    assert pres.join_table(els) == full
-    expected = {(i, j): r for (i, j), r in full.items() if not (rel[i, j] or rel[j, i])}
-    assert pres.join_table(els, rel) == expected
+    assert pres.join_table(els, rel) == open_join_table(pres, els, rel)
 
 
 def join_preserving_by_pairs(mor, ball):
@@ -40,7 +37,7 @@ def join_preserving_by_pairs(mor, ball):
     inconclusive = 0
     els = ball.elements
     images = [mor(x) for x in els]
-    table = mor.source.join_table(els)
+    table = full_join_table(mor.source, els)
     for i, j in sorted(table):
         r = table[i, j]
         if r.is_inconclusive:
@@ -58,7 +55,7 @@ def assert_same_report(mor, ball):
     # A comparable pair is decided by the order, even where the family rule
     # is inconclusive (the base semidirect product); the open pairs match.
     rel = ball.order()
-    full = Presentation.join_table(mor.source, ball.elements)
+    full = full_join_table(mor.source, ball.elements)
     comparable = sum(r.is_inconclusive for (i, j), r in full.items() if rel[i, j] or rel[j, i])
     assert got["inconclusive"] == ref["inconclusive"] - comparable
     return got

@@ -11,7 +11,7 @@ from wqlat.controlled import (
     check_sigma_axioms,
     fibers,
 )
-from wqlat.order import IntGroup, PresentationError
+from wqlat.order import BallCapExceeded, IntGroup, PresentationError
 from wqlat.presets import get_presentation
 
 from conftest import ROOT, ball_of, fiber_of, pres_of
@@ -161,6 +161,13 @@ class TestWitnessShapes:
         # d^q stems at height q, every one ending in the a-letter.
         assert len(stems) == 9
         assert all(exps[-1] == 0 and len(eps) == 2 for exps, eps in stems)
+
+    def test_bs_minimal_slice_is_capped(self):
+        # 2^13 = 8192 witnesses is the cap itself; 2^14 is refused.
+        pres = pres_of("bs:1,2")
+        assert len(pres.sigma_witness(13, [])) == 8192
+        with pytest.raises(BallCapExceeded, match="height 14 has 2\\^14 elements"):
+            pres.sigma_witness(14, [])
 
     def test_hnn_minus_chains_extend_the_stems(self):
         from wqlat.words import word_pow

@@ -1,9 +1,10 @@
 """Stem blocks: the stable-letter order matrix and the per-ball join table.
 
 ``StableLetterCone.order_matrix``, on HNN extensions and Baumslag-Solitar
-groups of both signs, and every ``join_table`` override are compared with
-the unbound ``Presentation`` defaults, so an override cannot hide behind
-itself; so are the stable-letter ``mul`` of a base part, against the normal
+groups of both signs, is compared with the unbound ``Presentation``
+default, and every ``join_table`` override with the open pairs of a
+reference that calls ``_join`` once per pair, so an override cannot hide
+behind itself; so are the stable-letter ``mul`` of a base part, against the normal
 form of the letters, and ``canonical_strs``, against ``canonical_str``.  The
 slow reports of the commit before either hook existed are pinned in
 ``tests/golden.txt``.
@@ -19,7 +20,7 @@ from wqlat.controlled import check_sigma_axioms, fibers
 from wqlat.order import Presentation, PresentationError
 from wqlat.presets import get_presentation
 
-from conftest import README_PRESETS, ball_of, pres_of, short
+from conftest import README_PRESETS, ball_of, open_join_table, pres_of, short
 
 # Both HNN families: Baumslag-Solitar groups are the HNN extensions of <b>.
 HNN_PRESETS = (
@@ -134,25 +135,28 @@ class TestOneStepForms:
             assert ab.canonical_strs(els) == renamed == [ab.canonical_str(x) for x in els]
 
 
-def default_table(pres, xs):
-    return Presentation.join_table(pres, xs)
+def assert_reference_table(pres, xs, rel=None):
+    """``join_table(xs, rel)`` against the open pairs of the one-``_join``-per-pair reference."""
+    rel = pres.order_matrix(xs, xs) if rel is None else rel
+    table = pres.join_table(xs, rel)
+    assert table == open_join_table(pres, xs, rel)
+    return table
 
 
 class TestJoinTable:
     @pytest.mark.parametrize("name", README_PRESETS, ids=short)
     def test_readme_presets_radius_3(self, name):
         pres = get_presentation(name)
-        els = pres.enumerate_ball(3, cap=3).elements
-        table = pres.join_table(els)
-        assert table == default_table(pres, els)
-        assert all(i <= j for i, j in table) and not any(r.is_infinite for r in table.values())
+        ball = pres.enumerate_ball(3, cap=3)
+        table = assert_reference_table(pres, ball.elements, ball.order())
+        assert all(i < j for i, j in table) and not any(r.is_infinite for r in table.values())
 
     @pytest.mark.parametrize(
         "name", ["bs:2,3", "bs:3,2", "bs:2,-3", "hnn+:x,y@x,y", "hnn-:x,y@x,y", "hnn+:xy,yx@x,y",
                  "hnn+:xy,x@x,y", "hnn-:xy,x@x,y"])
     def test_radius_4(self, name):
-        pres, els = pres_of(name), ball_of(name, 4).elements
-        assert pres.join_table(els) == default_table(pres, els)
+        pres, ball = pres_of(name), ball_of(name, 4)
+        assert_reference_table(pres, ball.elements, ball.order())
 
     @pytest.mark.parametrize("name", ["bs:2,3", "bs:1,2"])
     def test_sigma_witness_lists(self, name):
@@ -160,16 +164,15 @@ class TestJoinTable:
         pres = pres_of(name)
         by_height = [pres.sigma_witness(q, None) for q in range(1, 6)]
         for sigma in by_height + [sum(by_height[:4], [])]:
-            assert pres.join_table(sigma) == default_table(pres, sigma)
+            assert_reference_table(pres, sigma)
 
     @pytest.mark.parametrize("radius", range(6))
     def test_phi_ab_prefix_table(self, radius):
         # phi-ab joins words only when one is a prefix of the other.
         pres, ball = pres_of("sd:phi-ab"), ball_of("sd:phi-ab", radius)
-        assert pres.join_table(ball.elements) == default_table(pres, ball.elements)
+        assert_reference_table(pres, ball.elements, ball.order())
         for q, fiber in fibers(pres.morphism(), ball).items():
-            sigma = pres.sigma_witness(q, fiber)
-            assert pres.join_table(sigma) == default_table(pres, sigma)
+            assert_reference_table(pres, pres.sigma_witness(q, fiber))
 
     def test_join_preservation_reads_the_ball_relation(self, capsys, monkeypatch):
         # check_order_preserving builds the ball's relation; the comparable
